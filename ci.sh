@@ -58,9 +58,6 @@ nn_t4_digest=$(printf '%s\n' "$nn_t4" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p'
 test -n "$nn_t1_digest"
 test "$nn_t1_digest" = "$nn_t4_digest"
 
-echo "== cargo clippy (pdes crate, standalone)"
-cargo clippy -p pdes --all-targets --offline -- -D warnings
-
 echo "== cargo clippy (packet-path crates, standalone)"
 cargo clippy -p sim-core --all-targets --offline -- -D warnings
 cargo clippy -p rnic-model --all-targets --offline -- -D warnings
@@ -79,29 +76,6 @@ test "$storm_cal_digest" = "$storm_ref_digest"
 
 echo "== cargo clippy (chaos crate, standalone)"
 cargo clippy -p ragnar-chaos --all-targets --offline -- -D warnings
-
-echo "== PDES determinism smoke: noisy_neighbor digest is worker-count invariant"
-nn_w1=$(cargo run --release --offline -p ragnar-bench --bin noisy_neighbor -- \
-    --quick --no-cache --workers 1)
-nn_w8=$(cargo run --release --offline -p ragnar-bench --bin noisy_neighbor -- \
-    --quick --no-cache --workers 8)
-nn_w1_digest=$(printf '%s\n' "$nn_w1" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
-nn_w8_digest=$(printf '%s\n' "$nn_w8" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
-test -n "$nn_w1_digest"
-test "$nn_w1_digest" = "$nn_w8_digest"
-# The sequential oracle (workers 1) and the thread-invariance run above
-# must also agree with each other.
-test "$nn_w1_digest" = "$nn_t1_digest"
-
-echo "== supervisor smoke: induced worker crashes heal without moving the digest"
-# A seeded exec-fault plan panics/stalls PDES workers mid-window; the
-# supervised pool quarantines them and replays the poisoned windows, so
-# the digest must stay pinned to the unfaulted sequential oracle.
-nn_chaos=$(cargo run --release --offline -p ragnar-bench --bin noisy_neighbor -- \
-    --quick --no-cache --workers 8 --exec-chaos-seed 61)
-nn_chaos_digest=$(printf '%s\n' "$nn_chaos" | sed -n 's/.*digest \([0-9a-f]*\).*/\1/p')
-test -n "$nn_chaos_digest"
-test "$nn_chaos_digest" = "$nn_w1_digest"
 
 echo "== monitor smoke: a clean run under online invariant monitors is digest-pinned"
 nn_mon=$(cargo run --release --offline -p ragnar-bench --bin noisy_neighbor -- \

@@ -1,42 +1,24 @@
-//! Determinism tests for the cluster-scale scenarios, on both axes
+//! Determinism tests for the cluster-scale scenarios across the axis
 //! that must never matter: the harness worker-thread count
-//! (`--threads`) and the PDES worker count (`--workers`). The seed-0
-//! quick-mode digests are pinned — the conservative-sync parallel
-//! engine is only acceptable because it is *bit-identical* to the
-//! sequential oracle, so these constants must survive any engine
-//! change at any thread/worker combination.
+//! (`--threads`). The seed-0 quick-mode digests are pinned, so these
+//! constants must survive any engine change at any thread count.
 
 use ragnar_bench::experiments::cluster;
 use ragnar_harness::executor::{self, ExecOptions};
 use ragnar_harness::hash::content_hash;
 use ragnar_harness::{Cli, Experiment, Outcome};
-use std::sync::Mutex;
 
 /// Pinned digest of the noisy-neighbor quick sweep (seed 0, 32-host
-/// pod). Captured on the sequential engine; every thread/worker
-/// combination must reproduce it bit-for-bit.
+/// pod). Every thread count must reproduce it bit-for-bit.
 const GOLDEN_NOISY_QUICK_SEED0: &str = "6f9a85cd9e3e5ee020c3e9f0e3cca250";
 
 /// Pinned digest of the bankrupt-covert quick sweep (seed 0, 24 bits).
 const GOLDEN_BANKRUPT_QUICK_SEED0: &str = "c7273d3641d381ec92eae1cb83f7e5e0";
 
-/// `pdes::set_ambient_workers` is process-global; the cargo test
-/// harness runs `#[test]`s concurrently, so every digest run takes
-/// this gate to keep one test's worker count from leaking into
-/// another's simulation.
-static AMBIENT_GATE: Mutex<()> = Mutex::new(());
-
 /// Runs the experiment's quick-mode sweep (no cache, forced) at master
-/// seed 0 under the given thread and PDES-worker counts, and digests
-/// all artifacts in config order.
-fn artifact_digest(
-    exp: &dyn Experiment,
-    threads: usize,
-    workers: usize,
-    extras: &[&str],
-) -> String {
-    let _gate = AMBIENT_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    pdes::set_ambient_workers(workers);
+/// seed 0 under the given thread count, and digests all artifacts in
+/// config order.
+fn artifact_digest(exp: &dyn Experiment, threads: usize, extras: &[&str]) -> String {
     let mut args = vec!["--quick".to_string(), "--seed".to_string(), "0".to_string()];
     args.extend(extras.iter().map(|s| s.to_string()));
     let cli = Cli::parse(args).expect("cli parses");
@@ -52,7 +34,6 @@ fn artifact_digest(
             ..Default::default()
         },
     );
-    pdes::set_ambient_workers(1);
     let mut material = String::new();
     for r in &records {
         match &r.outcome {
@@ -75,42 +56,42 @@ const NOISY_EXTRAS: [&str; 2] = ["--topology", "leaf-spine:hosts=32,leaves=4,spi
 const BANKRUPT_EXTRAS: [&str; 2] = ["--bits", "24"];
 
 #[test]
-fn noisy_neighbor_digest_matches_golden_at_every_worker_count() {
-    for (threads, workers) in [(1, 1), (2, 2), (8, 8)] {
-        let digest = artifact_digest(&cluster::NoisyNeighbor, threads, workers, &NOISY_EXTRAS);
+fn noisy_neighbor_digest_matches_golden_at_every_thread_count() {
+    for threads in [1, 4] {
+        let digest = artifact_digest(&cluster::NoisyNeighbor, threads, &NOISY_EXTRAS);
         assert_eq!(
             digest, GOLDEN_NOISY_QUICK_SEED0,
-            "noisy_neighbor digest drifted at --threads {threads} --workers {workers}"
+            "noisy_neighbor digest drifted at --threads {threads}"
         );
     }
 }
 
 #[test]
-fn bankrupt_covert_digest_matches_golden_at_every_worker_count() {
-    for (threads, workers) in [(1, 1), (2, 2), (8, 8)] {
-        let digest = artifact_digest(&cluster::BankruptCovert, threads, workers, &BANKRUPT_EXTRAS);
+fn bankrupt_covert_digest_matches_golden_at_every_thread_count() {
+    for threads in [1, 4] {
+        let digest = artifact_digest(&cluster::BankruptCovert, threads, &BANKRUPT_EXTRAS);
         assert_eq!(
             digest, GOLDEN_BANKRUPT_QUICK_SEED0,
-            "bankrupt_covert digest drifted at --threads {threads} --workers {workers}"
+            "bankrupt_covert digest drifted at --threads {threads}"
         );
     }
 }
 
-/// Worker invariance must also hold when a chaos plan perturbs the
-/// fabric: fault verdicts are drawn coordinator-side in merge order,
-/// so the same faults fire in the same order at any worker count.
+/// Thread invariance must also hold when a chaos plan perturbs the
+/// fabric: fault verdicts draw from each cell's own plan stream, so the
+/// same faults fire in the same order at any thread count.
 #[test]
-fn noisy_neighbor_chaos_digest_is_worker_invariant() {
+fn noisy_neighbor_chaos_digest_is_thread_invariant() {
     let extras = [
         "--topology",
         "leaf-spine:hosts=32,leaves=4,spines=2",
         "--chaos-seed",
         "7",
     ];
-    let sequential = artifact_digest(&cluster::NoisyNeighbor, 1, 1, &extras);
-    let parallel = artifact_digest(&cluster::NoisyNeighbor, 8, 8, &extras);
+    let serial = artifact_digest(&cluster::NoisyNeighbor, 1, &extras);
+    let parallel = artifact_digest(&cluster::NoisyNeighbor, 4, &extras);
     assert_eq!(
-        sequential, parallel,
-        "noisy_neighbor chaos digest differs between workers 1 and 8"
+        serial, parallel,
+        "noisy_neighbor chaos digest differs between --threads 1 and 4"
     );
 }

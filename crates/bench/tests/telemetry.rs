@@ -8,7 +8,6 @@ use ragnar_harness::executor::{self, ExecOptions, TelemetrySpec};
 use ragnar_harness::hash::content_hash;
 use ragnar_harness::{Cli, Experiment, Outcome, RunRecord, Value};
 use ragnar_telemetry::{chrome_trace_json, profile, Target, TargetSet, TraceCell};
-use std::sync::Mutex;
 
 /// Pinned quick-mode digests, mirrored from `golden.rs`: the telemetry
 /// runs below must reproduce them exactly.
@@ -188,85 +187,15 @@ fn telemetry_flags_do_not_change_cache_keys() {
     }
 }
 
-/// `pdes::set_ambient_workers` / `set_ambient_supervision` are
-/// process-global; runs that touch them take this gate so concurrent
-/// `#[test]`s cannot leak worker counts into each other's simulations.
-static AMBIENT_GATE: Mutex<()> = Mutex::new(());
-
 /// The 32-host pod used by the cluster determinism tests — small enough
 /// for the debug-build test budget.
 const NOISY_EXTRAS: [&str; 2] = ["--topology", "leaf-spine:hosts=32,leaves=4,spines=2"];
 
-/// Tracing the PDES target alone keeps the run parallel-eligible, so
-/// the worker-lane track is exercised by the real parallel engine.
-fn pdes_only() -> TelemetrySpec {
-    TelemetrySpec {
-        trace: true,
-        filter: TargetSet::parse("pdes").expect("pdes target parses"),
-        metrics: false,
-    }
-}
-
-/// Runs the noisy-neighbor quick sweep at the given harness-thread and
-/// PDES-worker counts and returns the Chrome trace JSON.
-fn noisy_trace(threads: usize, workers: usize, spec: TelemetrySpec, extras: &[&str]) -> String {
-    let _gate = AMBIENT_GATE.lock().unwrap_or_else(|e| e.into_inner());
-    pdes::set_ambient_workers(workers);
+/// Runs the noisy-neighbor quick sweep at the given harness-thread
+/// count and returns the Chrome trace JSON.
+fn noisy_trace(threads: usize, spec: TelemetrySpec, extras: &[&str]) -> String {
     let records = run_quick(&cluster::NoisyNeighbor, threads, extras, spec);
-    pdes::set_ambient_workers(1);
     trace_json(&records)
-}
-
-/// The per-worker PDES window lanes are a *virtual* schedule derived
-/// from the deterministic event fold, so the track must be
-/// byte-identical at every `--threads` × `--workers` combination —
-/// including configurations the sequential oracle executes.
-#[test]
-fn worker_lane_track_is_thread_and_worker_invariant() {
-    let base = noisy_trace(1, 1, pdes_only(), &NOISY_EXTRAS);
-    assert!(
-        base.contains("\"window\""),
-        "pdes trace has no window-lane spans"
-    );
-    let base_hash = content_hash(base.as_bytes());
-    for (threads, workers) in [(4, 2), (1, 8)] {
-        let json = noisy_trace(threads, workers, pdes_only(), &NOISY_EXTRAS);
-        assert_eq!(
-            content_hash(json.as_bytes()),
-            base_hash,
-            "worker-lane track drifted at --threads {threads} --workers {workers}"
-        );
-    }
-}
-
-/// Worker-lane byte-identity must survive executor chaos: a seeded
-/// worker-fault plan panics and respawns PDES workers mid-run, and the
-/// self-healing cannot move a single span in the trace.
-#[test]
-fn worker_lane_track_survives_exec_chaos() {
-    let chaos_trace = |threads: usize, workers: usize| {
-        let _gate = AMBIENT_GATE.lock().unwrap_or_else(|e| e.into_inner());
-        let plan =
-            ragnar_chaos::ExecFaultPlan::generate(61, &ragnar_chaos::ExecPlanParams::default());
-        pdes::set_ambient_supervision(Some(pdes::PoolPolicy {
-            stall_timeout: Some(std::time::Duration::from_secs(2)),
-            max_respawns: 8,
-            fault_hook: Some(plan.to_hook()),
-        }));
-        pdes::set_ambient_workers(workers);
-        let records = run_quick(&cluster::NoisyNeighbor, threads, &NOISY_EXTRAS, pdes_only());
-        pdes::set_ambient_workers(1);
-        pdes::set_ambient_supervision(None);
-        trace_json(&records)
-    };
-    let two = chaos_trace(4, 2);
-    let eight = chaos_trace(1, 8);
-    assert!(!two.is_empty());
-    assert_eq!(
-        content_hash(two.as_bytes()),
-        content_hash(eight.as_bytes()),
-        "worker-lane track drifted under --exec-chaos-seed between workers 2 and 8"
-    );
 }
 
 /// The PFC track: pause spans appear on per-port lanes when the sweep
@@ -274,12 +203,12 @@ fn worker_lane_track_survives_exec_chaos() {
 /// across harness thread counts.
 #[test]
 fn pfc_pause_spans_are_present_and_thread_invariant() {
-    let serial = noisy_trace(1, 1, full_telemetry(), &NOISY_EXTRAS);
+    let serial = noisy_trace(1, full_telemetry(), &NOISY_EXTRAS);
     assert!(
         serial.contains("\"pfc_pause\""),
         "noisy-neighbor trace has no pfc_pause spans"
     );
-    let parallel = noisy_trace(4, 1, full_telemetry(), &NOISY_EXTRAS);
+    let parallel = noisy_trace(4, full_telemetry(), &NOISY_EXTRAS);
     assert_eq!(
         content_hash(serial.as_bytes()),
         content_hash(parallel.as_bytes()),

@@ -39,12 +39,10 @@
 
 #![warn(missing_docs)]
 
-mod exec;
 mod inject;
 mod oracle;
 mod plan;
 
-pub use exec::{ExecFaultEvent, ExecFaultKind, ExecFaultPlan, ExecPlanParams, ExecWorkerSelector};
 pub use inject::{FaultInjector, InjectorStats, Verdict};
 pub use oracle::{FabricStats, OracleViolation, WrLedger};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, LinkSelector, PlanParams, PlanParseError};

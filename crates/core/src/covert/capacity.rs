@@ -13,7 +13,7 @@ use rdma_verbs::DeviceKind;
 use sim_core::SimDuration;
 
 /// One operating point of the capacity sweep.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CapacityPoint {
     /// Bit period.
     pub bit_period_ns: u64,

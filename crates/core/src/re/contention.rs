@@ -17,7 +17,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Who posts the flow's work requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowDirection {
     /// The client is the requester (the common case).
     FromClient,
@@ -28,7 +28,7 @@ pub enum FlowDirection {
 }
 
 /// One competing flow of the Fig.-4 study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FlowSpec {
     /// Operation the flow issues.
     pub opcode: Opcode,
@@ -90,7 +90,7 @@ impl Default for PairConfig {
 }
 
 /// Solo and contended goodputs of a flow pair.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PairOutcome {
     /// Flow A alone, bits/s.
     pub solo_a_bps: f64,
@@ -213,7 +213,7 @@ pub fn measure_pair(
 }
 
 /// One cell of the Fig.-4 grid.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridCell {
     /// The induced ("Ind.") flow — the one whose degradation is plotted.
     pub a: FlowSpec,

@@ -16,7 +16,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 /// The pattern classes Algorithm 1 distinguishes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pattern {
     /// Sustained plateau-like depression.
     Shuffle,

@@ -12,7 +12,7 @@ use crate::harmonic::{HarmonicMonitor, Verdict, WindowSignature};
 use ragnar_telemetry::{ActorId, Target};
 
 /// One operating point of the detector.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RocPoint {
     /// Grain-II coefficient-of-variation threshold in force.
     pub threshold: f64,

@@ -3,10 +3,11 @@
 //! Configs are distributed round-robin over per-worker deques; workers
 //! drain their own queue first and then steal from siblings (crossbeam
 //! deque topology), so a straggler config never idles the rest of the
-//! pool. Determinism is preserved at any thread count because each
-//! config's seed is derived from the config's *content*
-//! ([`sim_core::derive_seed`] over its canonical encoding), never from
-//! scheduling order.
+//! pool. The deques are seeded once and never refilled, so a worker
+//! that finds every deque empty is done and exits. Determinism is
+//! preserved at any thread count because each config's seed is derived
+//! from the config's *content* ([`sim_core::derive_seed`] over its
+//! canonical encoding), never from scheduling order.
 //!
 //! The executor is also the harness's supervision layer:
 //!
@@ -35,11 +36,11 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::Mutex;
-use std::thread::Scope;
+use std::sync::{Mutex, OnceLock};
+use std::thread::{Scope, Thread};
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Stealer, Worker};
+use crossbeam::deque::{Steal, Stealer, Worker};
 use ragnar_telemetry::{
     ActorId, ArgValue, Event, EventKind, Session, SessionReport, Target, TargetSet,
 };
@@ -116,10 +117,10 @@ pub struct ExecOptions {
     /// Retries reuse the cell's seed — a deterministic failure fails
     /// every rung of the ladder and ends quarantined.
     pub retries: u32,
-    /// Skip cache reads (writes still happen). Set by supervision modes
-    /// (`--monitors`, `--exec-chaos-seed`) whose whole point is that the
-    /// cell actually executes; keys are unchanged, so the refreshed
-    /// entries stay interchangeable with unsupervised ones.
+    /// Skip cache reads (writes still happen). Set by `--monitors`, whose
+    /// whole point is that the cell actually executes; keys are
+    /// unchanged, so the refreshed entries stay interchangeable with
+    /// unmonitored ones.
     pub bypass_cache_reads: bool,
 }
 
@@ -198,6 +199,9 @@ struct SweepCtx<'env> {
     /// progress reporter's events/s figure.
     events: &'env AtomicU64,
     abort: &'env AbortState,
+    /// The progress reporter, woken by the cell that completes the sweep
+    /// so the sweep never waits out a reporter period.
+    reporter: OnceLock<Thread>,
 }
 
 /// How one attempt of one cell ended.
@@ -330,7 +334,11 @@ fn run_cell<'scope, 'env: 'scope>(
 
     let finish = |record: RunRecord| {
         *ctx.slots[index].lock().expect("slot poisoned") = Some(record);
-        ctx.completed.fetch_add(1, Ordering::Relaxed);
+        if ctx.completed.fetch_add(1, Ordering::Relaxed) + 1 == ctx.configs.len() {
+            if let Some(reporter) = ctx.reporter.get() {
+                reporter.unpark();
+            }
+        }
     };
     let record =
         |outcome: Outcome, from_cache: bool, telemetry: Option<SessionReport>, attempts: u32| {
@@ -454,6 +462,28 @@ fn run_cell<'scope, 'env: 'scope>(
     finish(record(outcome, false, telemetry, attempt));
 }
 
+/// The next cell for `worker`: its own deque first, then the siblings'
+/// in index order. `None` once every deque is empty — nothing is ever
+/// pushed after seeding, so an empty scan means this worker is done.
+fn next_task(worker: &Worker<usize>, stealers: &[Stealer<usize>]) -> Option<usize> {
+    loop {
+        if let Some(index) = worker.pop() {
+            return Some(index);
+        }
+        let mut retry = false;
+        for stealer in stealers {
+            match stealer.steal() {
+                Steal::Success(index) => return Some(index),
+                Steal::Retry => retry = true,
+                Steal::Empty => {}
+            }
+        }
+        if !retry {
+            return None;
+        }
+    }
+}
+
 /// Runs every config of `exp`, in parallel, through the cache.
 ///
 /// Records are returned in `configs` order regardless of scheduling.
@@ -494,17 +524,20 @@ pub fn execute(
         completed: &completed,
         events: &events,
         abort: &abort,
+        reporter: OnceLock::new(),
     };
 
     std::thread::scope(|scope| {
         // Progress reporter: silent for quick sweeps, then a periodic
         // stderr line (cells done, events/s, ETA) for long ones. It only
         // reads counters — progress is wall-clock and must never become
-        // trace or artifact material.
+        // trace or artifact material. It parks between lines; the cell
+        // that completes the sweep unparks it, so the scope's join never
+        // waits out a reporter period.
         {
             let ctx = &ctx;
             let total = configs.len();
-            scope.spawn(move || {
+            let reporter = scope.spawn(move || {
                 let started = Instant::now();
                 loop {
                     let done = ctx.completed.load(Ordering::Relaxed);
@@ -529,33 +562,27 @@ pub fn execute(
                             done, total, eta_s
                         ));
                     }
-                    std::thread::sleep(PROGRESS_PERIOD);
+                    // Parks may wake spuriously; sleep out the period
+                    // unless the sweep completes first.
+                    let next = Instant::now() + PROGRESS_PERIOD;
+                    while ctx.completed.load(Ordering::Relaxed) < total {
+                        let now = Instant::now();
+                        if now >= next {
+                            break;
+                        }
+                        std::thread::park_timeout(next - now);
+                    }
                 }
             });
+            // Set before any worker starts, so no completion can miss it.
+            let _ = ctx.reporter.set(reporter.thread().clone());
         }
         for worker in &workers {
             let ctx = &ctx;
             let stealers = &stealers;
             scope.spawn(move || {
-                loop {
-                    // Own deque first, then steal from siblings.
-                    let task = worker
-                        .pop()
-                        .or_else(|| stealers.iter().find_map(|s| s.steal().success()));
-                    match task {
-                        Some(index) => run_cell(ctx, index, scope),
-                        None => {
-                            // All deques observed empty: if every config
-                            // is accounted for, we are done; otherwise a
-                            // sibling still holds in-flight work that
-                            // might never produce more tasks here, so
-                            // yield and re-scan.
-                            if ctx.completed.load(Ordering::Relaxed) >= configs.len() {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
+                while let Some(index) = next_task(worker, stealers) {
+                    run_cell(ctx, index, scope);
                 }
             });
         }
@@ -978,6 +1005,44 @@ mod tests {
             serial,
             trace(4),
             "supervisor track differs between --threads 1 and --threads 4"
+        );
+    }
+
+    /// One short cell: the sweep must end when the cell does, not when
+    /// the progress reporter next wakes up.
+    struct Nap;
+
+    impl Experiment for Nap {
+        fn name(&self) -> &'static str {
+            "nap-unit"
+        }
+        fn params(&self, _cli: &Cli) -> Vec<Config> {
+            vec![Config::new().with("i", 0u64)]
+        }
+        fn run(&self, _config: &Config, _seed: u64) -> Result<Artifact, String> {
+            std::thread::sleep(Duration::from_millis(20));
+            Ok(Artifact::text("ok\n"))
+        }
+    }
+
+    #[test]
+    fn sweep_returns_when_its_last_cell_does() {
+        let t0 = Instant::now();
+        let records = execute(
+            &Nap,
+            &Nap.params(&Cli::default()),
+            0,
+            None,
+            &ExecOptions {
+                threads: 2,
+                ..Default::default()
+            },
+        );
+        let elapsed = t0.elapsed();
+        assert!(matches!(records[0].outcome, Outcome::Done(_)));
+        assert!(
+            elapsed < Duration::from_millis(300),
+            "a 20 ms sweep took {elapsed:?}"
         );
     }
 

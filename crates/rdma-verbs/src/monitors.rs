@@ -27,11 +27,6 @@
 //! fails and retries the one cell, `AbortRun` panics with a
 //! `[monitor-abort]` prefix the harness recognizes as "stop the whole
 //! sweep — the simulator itself is broken".
-//!
-//! Monitors force the sequential engine (see `parallel_eligible`): the
-//! checks want a single coherent world state per event, and a run whose
-//! invariants are in question is exactly the run that should execute on
-//! the oracle path.
 
 use ragnar_chaos::FabricStats;
 use ragnar_telemetry::Metrics;
@@ -94,7 +89,7 @@ impl MonitorState {
         &mut self,
         arena: &PacketArena,
         fabric: &FabricStats,
-        nics: &[Option<Rnic>],
+        nics: &[Rnic],
         metrics: &Metrics,
     ) {
         self.since_check = 0;
@@ -121,7 +116,7 @@ impl MonitorState {
                 ),
             );
         }
-        for nic in nics.iter().flatten() {
+        for nic in nics {
             if let Some(msg) = nic.check_qp_invariants() {
                 self.raise(
                     metrics,

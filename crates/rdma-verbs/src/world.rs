@@ -14,14 +14,8 @@ use rnic_model::{
     QpTransport, RecvWqe, ResetError, Rnic, TrafficClass,
 };
 use sim_core::{
-    CalendarQueue, EventHandle, FxHashMap, ReferenceQueue, SimDuration, SimRng, SimTime,
+    CalendarQueue, Digest64, EventHandle, FxHashMap, ReferenceQueue, SimDuration, SimRng, SimTime,
 };
-use std::collections::HashMap;
-
-// Child module (not a sibling) so the conservative-sync machinery can
-// reach the world's internals without widening their visibility.
-#[path = "parallel.rs"]
-mod parallel;
 
 /// Typed error for the user-facing [`Simulation`] and [`Ctx`] verbs APIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,20 +162,6 @@ impl WorldQueue {
         match self {
             WorldQueue::Calendar(q) => q.pop_before(deadline),
             WorldQueue::Reference(q) => q.pop_before(deadline),
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            WorldQueue::Calendar(q) => q.peek_time(),
-            WorldQueue::Reference(q) => q.peek_time(),
-        }
-    }
-
-    fn pop_with_seq_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64, WorldEvent)> {
-        match self {
-            WorldQueue::Calendar(q) => q.pop_with_seq_before(deadline),
-            WorldQueue::Reference(q) => q.pop_with_seq_before(deadline),
         }
     }
 
@@ -410,7 +390,7 @@ struct World {
     /// per-event cell allocation; this removes the per-event action
     /// allocation).
     scratch: Vec<NicAction>,
-    nics: Vec<Option<Rnic>>,
+    nics: Vec<Rnic>,
     qp_owner: FxHashMap<(HostId, QpNum), AppId>,
     switch_latency: SimDuration,
     next_qp: u32,
@@ -439,283 +419,51 @@ struct World {
     /// handles cost one branch per use.
     tracer: Tracer,
     metrics: Metrics,
-    /// Declared host footprint per app. Apps without an entry may touch
-    /// any host — and force the parallel engine onto the sequential
-    /// fallback, since worker partitioning needs the footprint.
-    app_scopes: HashMap<AppId, Vec<HostId>>,
-    /// `true` for apps registered via [`Simulation::add_send_app`]:
-    /// they ship to workers under the parallel engine, and in exchange
-    /// lose access to the world RNG and fabric-wide controls — on every
-    /// engine, so the sequential oracle surfaces violations first.
-    app_sendable: Vec<bool>,
-    /// Minimum window-batch size (events) a partition group must reach
-    /// before the parallel engine ships it to a worker; smaller groups
-    /// execute coordinator-side through the post-barrier leftover path,
-    /// which is bit-identical but skips the per-group shipping overhead
-    /// (channel hop, NIC checkout, stream merge). Zero ships everything.
-    ship_threshold: usize,
-    /// Active conservative-round merge state; `None` outside
-    /// `run_until_workers` apply phases (i.e. always, on the sequential
-    /// path).
-    round: Option<RoundCtl>,
-    /// Events materialized and consumed inside merge rounds without ever
-    /// touching the real queue; added to `queue.events_processed()` so
-    /// both engines report identical totals.
-    synthetic: u64,
     /// Order-sensitive digest folded over every processed event — the
-    /// cross-engine fingerprint of the PDES differential suite.
-    order: pdes::Digest64,
+    /// cross-backend fingerprint of the execution order.
+    order: Digest64,
     /// Online invariant monitors, captured from
     /// [`sim_core::ambient_monitors`] at construction; `None` (the
-    /// default) keeps the event loop's hot path monitor-free. Active
-    /// monitors force the sequential engine (see `parallel_eligible`).
+    /// default) keeps the event loop's hot path monitor-free.
     monitors: Option<crate::monitors::MonitorState>,
-    /// Shadow PDES window-lane tracker, built lazily when
-    /// [`Target::Pdes`] tracing is enabled and the configuration has a
-    /// positive lookahead. See [`LaneTracker`].
-    lanes: Option<LaneTracker>,
-}
-
-/// Deterministic per-window PDES lane accounting for the trace timeline.
-///
-/// Real job→worker assignment is demand-driven and hence
-/// scheduling-dependent, so worker-thread lanes can never appear in a
-/// deterministic trace. The schedulable unit that *is* deterministic is
-/// the host partition group: this tracker re-derives the same
-/// `host_groups` partition and the same lookahead windows the parallel
-/// engine uses, counts processed events per `(window, group)` in fold
-/// order — which both engines replay identically — and emits one
-/// `window` span per active group when the window closes. The resulting
-/// lanes are byte-identical at any `--threads`/`--workers`, including on
-/// the sequential engine (where they show what the parallel engine
-/// *would* schedule).
-struct LaneTracker {
-    lookahead_ps: u64,
-    host_group: Vec<u32>,
-    window: u64,
-    /// Events folded into the open window, per group (sorted for
-    /// deterministic emission order).
-    counts: std::collections::BTreeMap<u32, u64>,
 }
 
 /// Run-track lane ids (tids under the GLOBAL pid): lane 0 is the run
-/// itself, `1 + link` carries per-port PFC pause spans, and the PDES
-/// window lanes live in their own bands so port and group ids can never
-/// collide.
-pub(crate) const PFC_LANE_BASE: u32 = 1;
-pub(crate) const PDES_LANE_BASE: u32 = 1_000_000;
-pub(crate) const PDES_COORD_LANE: u32 = 2_000_000;
-
-impl World {
-    /// Builds the lane tracker on first use when `pdes` tracing is on.
-    fn ensure_lane_tracker(&mut self) {
-        if self.lanes.is_none() && self.tracer.enabled(Target::Pdes) {
-            if let Some(lookahead) = self.lookahead() {
-                self.lanes = Some(LaneTracker {
-                    lookahead_ps: lookahead.as_picos(),
-                    host_group: self.host_groups(),
-                    window: 0,
-                    counts: std::collections::BTreeMap::new(),
-                });
-            }
-        }
-    }
-
-    /// Attributes `n` folded events to a window lane, closing (and
-    /// emitting) the previous window when time crosses a boundary.
-    /// Events with no single owning host bill the coordinator lane.
-    /// Callers pass `n > 1` only for coalesced Hop batches, which must
-    /// count per packet so lane totals are batching-invariant (the same
-    /// discipline the order digest follows).
-    fn note_lane(&mut self, at: SimTime, host: Option<HostId>, n: u64) {
-        let Some(tr) = self.lanes.as_mut() else {
-            return;
-        };
-        let w = at.as_picos() / tr.lookahead_ps;
-        if w != tr.window {
-            let start = tr.window * tr.lookahead_ps;
-            for (&g, &n) in tr.counts.iter() {
-                let lane = if g == u32::MAX {
-                    PDES_COORD_LANE
-                } else {
-                    PDES_LANE_BASE + g
-                };
-                self.tracer.span(
-                    Target::Pdes,
-                    "window",
-                    ActorId {
-                        host: ActorId::GLOBAL_HOST,
-                        lane,
-                    },
-                    start,
-                    tr.lookahead_ps,
-                    &[("events", ArgValue::U64(n))],
-                );
-            }
-            tr.counts.clear();
-            tr.window = w;
-        }
-        let g = host
-            .and_then(|h| tr.host_group.get(h.0 as usize).copied())
-            .unwrap_or(u32::MAX);
-        *tr.counts.entry(g).or_insert(0) += n;
-    }
-
-    /// Emits the still-open window's lanes (end of a run entry point).
-    fn flush_lanes(&mut self) {
-        let Some(tr) = self.lanes.as_mut() else {
-            return;
-        };
-        if tr.counts.is_empty() {
-            return;
-        }
-        let start = tr.window * tr.lookahead_ps;
-        for (&g, &n) in tr.counts.iter() {
-            let lane = if g == u32::MAX {
-                PDES_COORD_LANE
-            } else {
-                PDES_LANE_BASE + g
-            };
-            self.tracer.span(
-                Target::Pdes,
-                "window",
-                ActorId {
-                    host: ActorId::GLOBAL_HOST,
-                    lane,
-                },
-                start,
-                tr.lookahead_ps,
-                &[("events", ArgValue::U64(n))],
-            );
-        }
-        tr.counts.clear();
-    }
-}
-
-/// Merge-phase state for one conservative round (see the `parallel`
-/// module): events already inside the round's window live in this heap,
-/// keyed by `(timestamp, virtual seq)`, exactly mirroring the global
-/// queue's `(timestamp, insertion seq)` order.
-struct RoundCtl {
-    /// Inclusive upper bound of the round's window.
-    limit: SimTime,
-    /// Timestamp of the entry currently being applied; `World::now()`
-    /// reports this while a round is active.
-    now: SimTime,
-    /// Next virtual sequence number; starts past every real seq the
-    /// round's batch consumed and advances in merge order.
-    vseq: u64,
-    heap: std::collections::BinaryHeap<std::cmp::Reverse<RoundKeyed>>,
-}
-
-struct RoundKeyed {
-    at: SimTime,
-    k2: u64,
-    item: RoundItem,
-}
-
-enum RoundItem {
-    /// A materialized world event, executed through the same
-    /// `execute_event` as the sequential loop.
-    Ev(WorldEvent),
-    /// Head-of-stream marker for a worker group's cooked output.
-    Marker(u32),
-}
-
-impl RoundKeyed {
-    fn key(&self) -> (SimTime, u64, bool) {
-        // Ev/Marker never share (at, k2) — batch seqs, virtual seqs and
-        // marker heads are disjoint — but keep the order total anyway.
-        (self.at, self.k2, matches!(self.item, RoundItem::Marker(_)))
-    }
-}
-
-impl PartialEq for RoundKeyed {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for RoundKeyed {}
-impl PartialOrd for RoundKeyed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for RoundKeyed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
+/// itself and `1 + link` carries per-port PFC pause spans.
+const PFC_LANE_BASE: u32 = 1;
 
 const HUGE_PAGE: u64 = 2 * 1024 * 1024;
 
 impl World {
     fn now(&self) -> SimTime {
-        match self.round.as_ref() {
-            Some(r) => r.now,
-            None => self.queue.now(),
-        }
+        self.queue.now()
     }
 
     fn nic_ref(&self, host: HostId) -> &Rnic {
-        self.nics[host.0 as usize]
-            .as_ref()
-            .expect("NIC checked out to a parallel worker")
+        &self.nics[host.0 as usize]
     }
 
     fn nic_mut(&mut self, host: HostId) -> &mut Rnic {
-        self.nics[host.0 as usize]
-            .as_mut()
-            .expect("NIC checked out to a parallel worker")
+        &mut self.nics[host.0 as usize]
     }
 
-    /// Schedules a world event, routing through the active merge round
-    /// when one is open and `at` falls inside its window.
     fn enqueue(&mut self, at: SimTime, event: WorldEvent) {
-        self.enqueue_in_round(at, event);
-    }
-
-    /// Like [`World::enqueue`], returning the virtual sequence number
-    /// when the event landed in the round heap (the parallel coordinator
-    /// needs it to translate worker emit ids into merge keys).
-    fn enqueue_in_round(&mut self, at: SimTime, event: WorldEvent) -> Option<u64> {
         // Any enqueue other than a successful hop coalesce invalidates
         // the tail: a later packet appended to an older Hop event would
         // otherwise execute *before* this event despite having been
         // scheduled after it.
         self.hop_tail = None;
-        if let Some(r) = self.round.as_mut() {
-            if at <= r.limit {
-                debug_assert!(at >= r.now, "round heap push into the past");
-                let k2 = r.vseq;
-                r.vseq += 1;
-                r.heap.push(std::cmp::Reverse(RoundKeyed {
-                    at,
-                    k2,
-                    item: RoundItem::Ev(event),
-                }));
-                return Some(k2);
-            }
-        }
         self.queue.schedule(at, event);
-        None
     }
 
-    /// Folds one processed event into the order digest. Both engines
-    /// fold the same words in the same order; the digest is therefore a
-    /// fingerprint of the execution order itself.
+    /// Folds one processed event into the order digest. Both queue
+    /// backends fold the same words in the same order; the digest is
+    /// therefore a fingerprint of the execution order itself.
     ///
     /// A batched `Hop` folds once *per packet* — exactly the words an
     /// unbatched run folds for its separate Hop events — so coalescing
     /// is invisible to the digest by construction.
     fn fold_event(&mut self, at: SimTime, event: &WorldEvent) {
-        if self.lanes.is_some() {
-            let n = match event {
-                WorldEvent::Hop { pkts, .. } => pkts.len() as u64,
-                _ => 1,
-            };
-            self.note_lane(at, World::lane_host_of(event), n);
-        }
         if let WorldEvent::Hop { hop, pkts, .. } = event {
             for h in pkts.iter() {
                 let dst = u64::from(self.arena.hot(h).dst.0);
@@ -753,19 +501,6 @@ impl World {
         }
     }
 
-    /// The single owning host a processed event bills its window lane
-    /// to, or `None` for events the coordinator always owns (fabric
-    /// hops, app timers). Mirrors the worker-side attribution in
-    /// `fold_worker_entry` exactly, so lanes are engine-invariant.
-    fn lane_host_of(event: &WorldEvent) -> Option<HostId> {
-        match event {
-            WorldEvent::Nic(host, _) => Some(*host),
-            WorldEvent::Deliver { host, .. } => Some(*host),
-            WorldEvent::AppCqe { host, .. } => Some(*host),
-            WorldEvent::Hop { .. } | WorldEvent::Timer { .. } => None,
-        }
-    }
-
     /// Schedules hop `hop` of `route` for one packet, coalescing into
     /// the immediately preceding `Hop` event when — and only when — that
     /// event is still pending, nothing else has been enqueued since, and
@@ -786,53 +521,34 @@ impl World {
         pkt: PacketHandle,
         corrupt: bool,
     ) {
-        if self.round.is_none() {
-            if let Some(tail) = self.hop_tail {
-                if tail.at == at
-                    && tail.hop == hop
-                    && tail.corrupt == corrupt
-                    && tail.route == route
-                {
-                    if let Some(WorldEvent::Hop { pkts, .. }) = self.queue.event_mut(tail.handle) {
-                        if pkts.push(pkt) {
-                            // Counted into `coalesced_hops` when the
-                            // batch executes, not here, so the ledger
-                            // only ever reflects processed events.
-                            return;
-                        }
+        if let Some(tail) = self.hop_tail {
+            if tail.at == at && tail.hop == hop && tail.corrupt == corrupt && tail.route == route {
+                if let Some(WorldEvent::Hop { pkts, .. }) = self.queue.event_mut(tail.handle) {
+                    if pkts.push(pkt) {
+                        // Counted into `coalesced_hops` when the batch
+                        // executes, not here, so the ledger only ever
+                        // reflects processed events.
+                        return;
                     }
                 }
             }
-            let event = WorldEvent::Hop {
-                route,
-                hop,
-                pkts: HopBatch::one(pkt),
-                corrupt,
-            };
-            self.hop_tail = self
-                .queue
-                .schedule_tracked(at, event)
-                .map(|handle| HopTail {
-                    handle,
-                    at,
-                    route,
-                    hop,
-                    corrupt,
-                });
-            return;
         }
-        // Inside a merge round events materialize in the round heap,
-        // which has no stable handles — fall back to one event per
-        // packet (clearing the tail via the shared path).
-        self.enqueue_in_round(
-            at,
-            WorldEvent::Hop {
+        let event = WorldEvent::Hop {
+            route,
+            hop,
+            pkts: HopBatch::one(pkt),
+            corrupt,
+        };
+        self.hop_tail = self
+            .queue
+            .schedule_tracked(at, event)
+            .map(|handle| HopTail {
+                handle,
+                at,
                 route,
                 hop,
-                pkts: HopBatch::one(pkt),
                 corrupt,
-            },
-        );
+            });
     }
 
     /// Routes a NIC event into the NIC and applies the resulting
@@ -842,9 +558,7 @@ impl World {
         let now = self.now();
         // Split field borrows: the NIC slot and the packet arena are
         // disjoint parts of the world.
-        let nic = self.nics[host.0 as usize]
-            .as_mut()
-            .expect("NIC checked out to a parallel worker");
+        let nic = &mut self.nics[host.0 as usize];
         nic.handle_into(now, event, &mut self.arena, &mut scratch);
         self.apply_actions(host, &mut scratch);
         self.scratch = scratch;
@@ -895,10 +609,6 @@ impl World {
 
     /// Puts one packet on the wire at `at`: loss/chaos verdicts, then
     /// either the first fabric hop or the legacy single-switch delivery.
-    ///
-    /// Shared between `apply_actions` (sequential path) and the parallel
-    /// coordinator, which replays worker-cooked transmits in merge order
-    /// so every RNG draw happens in exactly the sequential sequence.
     fn transmit(&mut self, host: HostId, at: SimTime, pkt: PacketHandle) {
         self.fabric.sent += 1;
         let (src, dst, msg_id) = {
@@ -1001,7 +711,7 @@ impl World {
         self.dropped_packets += 1;
         self.fabric.dropped += 1;
         self.nic_mut(src).counters_mut().wire_tx_dropped += 1;
-        if let Some(nic) = self.nics.get_mut(dst.0 as usize).and_then(Option::as_mut) {
+        if let Some(nic) = self.nics.get_mut(dst.0 as usize) {
             nic.counters_mut().wire_rx_dropped += 1;
         }
     }
@@ -1021,7 +731,7 @@ impl World {
             self.nic_mut(src).counters_mut().wire_tx_dropped += 1;
         }
         if l.dst == NodeId::Host(dst.0) {
-            if let Some(nic) = self.nics.get_mut(dst.0 as usize).and_then(Option::as_mut) {
+            if let Some(nic) = self.nics.get_mut(dst.0 as usize) {
                 nic.counters_mut().wire_rx_dropped += 1;
             }
         }
@@ -1187,49 +897,8 @@ impl World {
 /// ```
 pub struct Simulation {
     world: World,
-    apps: Vec<Option<AppBox>>,
+    apps: Vec<Option<Box<dyn App>>>,
     started_count: usize,
-    /// Supervisor activity recorded by the most recent
-    /// `run_until_workers` call that ran under an ambient
-    /// [`pdes::PoolPolicy`]; `None` on the unsupervised fast path.
-    supervisor: Option<SupervisorStats>,
-}
-
-/// What the supervised worker pool survived during one
-/// [`Simulation::run_until_workers`] call: the pool's health counters
-/// plus how many shipped group batches were replayed inline on the
-/// coordinator (the sequential oracle) after a worker fault returned
-/// them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SupervisorStats {
-    /// Pool health counters (panics, stalls, respawns, quarantines,
-    /// jobs run inline because every worker slot died).
-    pub health: pdes::HealthSnapshot,
-    /// Group jobs replayed coordinator-side after a worker fault
-    /// returned them unexecuted.
-    pub replayed_jobs: u64,
-}
-
-/// App storage: whether the app may be shipped to a parallel worker.
-enum AppBox {
-    /// Coordinator-only app ([`Simulation::add_app`]): may draw from the
-    /// world RNG and touch fabric-wide controls; under the parallel
-    /// engine its callbacks barrier its host group and run on the
-    /// coordinator in merge order.
-    Local(Box<dyn App>),
-    /// Send app ([`Simulation::add_send_app`]): checked out to the
-    /// worker that owns its host group, so its callbacks execute in
-    /// parallel instead of barriering.
-    Send(Box<dyn App + Send>),
-}
-
-impl AppBox {
-    fn as_dyn(&mut self) -> &mut dyn App {
-        match self {
-            AppBox::Local(a) => a.as_mut(),
-            AppBox::Send(a) => a.as_mut(),
-        }
-    }
 }
 
 impl Simulation {
@@ -1268,18 +937,11 @@ impl Simulation {
                 fabric_rt: None,
                 tracer: ragnar_telemetry::tracer(),
                 metrics: ragnar_telemetry::metrics(),
-                app_scopes: HashMap::new(),
-                app_sendable: Vec::new(),
-                ship_threshold: parallel::DEFAULT_SHIP_THRESHOLD,
-                round: None,
-                synthetic: 0,
-                order: pdes::Digest64::new(),
+                order: Digest64::new(),
                 monitors: sim_core::ambient_monitors().map(crate::monitors::MonitorState::new),
-                lanes: None,
             },
             apps: Vec::new(),
             started_count: 0,
-            supervisor: None,
         }
     }
 
@@ -1328,7 +990,7 @@ impl Simulation {
         let id = HostId(self.world.nics.len() as u32);
         // Derive per-NIC seeds from the world RNG stream deterministically.
         let seed = self.world.rng.next_u64();
-        self.world.nics.push(Some(Rnic::new(id, profile, seed)));
+        self.world.nics.push(Rnic::new(id, profile, seed));
         self.world.next_va.push(HUGE_PAGE);
         id
     }
@@ -1444,25 +1106,7 @@ impl Simulation {
     /// first advances.
     pub fn add_app(&mut self, app: Box<dyn App>) -> AppId {
         let id = AppId(self.apps.len());
-        self.apps.push(Some(AppBox::Local(app)));
-        self.world.app_sendable.push(false);
-        id
-    }
-
-    /// Registers a `Send` application that the parallel engine may check
-    /// out to the worker owning its host group, so its `on_timer` /
-    /// `on_cqe` callbacks execute worker-side instead of barriering the
-    /// group (see `run_until_workers`). Sequential behavior is identical
-    /// to [`Simulation::add_app`], with one restriction enforced on
-    /// *every* engine so the sequential oracle stays a faithful
-    /// differential reference: a send app must not call [`Ctx::rng`]
-    /// (derive a private [`SimRng`] at construction instead) or the
-    /// fabric-wide controls ([`Ctx::topology`], [`Ctx::link_counters`],
-    /// [`Ctx::pause_link`], [`Ctx::stop`]) — those panic.
-    pub fn add_send_app(&mut self, app: Box<dyn App + Send>) -> AppId {
-        let id = AppId(self.apps.len());
-        self.apps.push(Some(AppBox::Send(app)));
-        self.world.app_sendable.push(true);
+        self.apps.push(Some(app));
         id
     }
 
@@ -1560,7 +1204,6 @@ impl Simulation {
         self.world
             .nics
             .get(qp.host.0 as usize)
-            .and_then(Option::as_ref)
             .and_then(|nic| nic.qp_transport(qp.qp))
             == Some(QpTransport::Error)
     }
@@ -1580,7 +1223,6 @@ impl Simulation {
             .world
             .nics
             .get_mut(qp.host.0 as usize)
-            .and_then(Option::as_mut)
             .ok_or(VerbsError::UnknownHost(qp.host))?;
         nic.reset_qp(qp.qp)?;
         self.world.trace_qp_recover(qp);
@@ -1612,7 +1254,6 @@ impl Simulation {
             .world
             .nics
             .get_mut(qp.host.0 as usize)
-            .and_then(Option::as_mut)
             .ok_or(VerbsError::UnknownHost(qp.host))?;
         nic.post_recv(qp.qp, recv).map_err(VerbsError::from)
     }
@@ -1639,10 +1280,10 @@ impl Simulation {
         };
         {
             let mut ctx = Ctx {
-                world: CtxWorld::Direct(&mut self.world),
+                world: &mut self.world,
                 app: id,
             };
-            f(app.as_dyn(), &mut ctx);
+            f(app.as_mut(), &mut ctx);
         }
         self.apps[id.0] = Some(app);
     }
@@ -1651,7 +1292,6 @@ impl Simulation {
     /// queue exhaustion. Returns the number of events processed.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         self.start_apps();
-        self.world.ensure_lane_tracker();
         let mut processed = 0;
         while !self.world.stopped {
             let Some((at, event)) = self.world.queue.pop_before(deadline) else {
@@ -1669,7 +1309,6 @@ impl Simulation {
                 self.observe_monitors(at);
             }
         }
-        self.world.flush_lanes();
         processed
     }
 
@@ -1695,14 +1334,6 @@ impl Simulation {
         self.world.monitors.as_ref().map(|m| m.violations())
     }
 
-    /// Supervisor activity from the most recent supervised
-    /// `run_until_workers` call (`None` when no ambient
-    /// [`pdes::PoolPolicy`] was installed or the run fell back to the
-    /// sequential engine).
-    pub fn supervisor_stats(&self) -> Option<SupervisorStats> {
-        self.supervisor
-    }
-
     /// Skews the packet arena's allocation ledger without touching any
     /// slot — plants the exact inconsistency the arena monitor exists to
     /// catch. Test-only.
@@ -1725,9 +1356,7 @@ impl Simulation {
         self.world.nic_mut(host).debug_skew_qp_outstanding(qp);
     }
 
-    /// Dispatches one popped event — the single definition shared by the
-    /// sequential loop above and the parallel coordinator's merge phase,
-    /// so both engines execute events through identical code.
+    /// Dispatches one popped event.
     fn execute_event(&mut self, event: WorldEvent) {
         let _p = profile::enter(Phase::Execute);
         match event {
@@ -1757,7 +1386,7 @@ impl Simulation {
                 // Batch members execute back-to-back in enqueue order —
                 // the exact order an unbatched run pops them in. The
                 // extra members are folded into the processed-events
-                // ledger so totals stay engine- and batching-invariant.
+                // ledger so totals stay backend- and batching-invariant.
                 self.world.coalesced_hops += u64::from(pkts.len()) - 1;
                 for h in pkts.iter() {
                     self.world.hop_packet(route, hop, h, corrupt);
@@ -1777,10 +1406,10 @@ impl Simulation {
         self.run_until(SimTime::MAX)
     }
 
-    /// Total events processed so far — real queue pops plus events the
-    /// parallel engine materialized and consumed inside merge rounds.
+    /// Total events processed so far — queue pops plus the extra
+    /// packets of batched `Hop` events (see [`Simulation::coalesced_hops`]).
     pub fn events_processed(&self) -> u64 {
-        self.world.queue.events_processed() + self.world.synthetic + self.world.coalesced_hops
+        self.world.queue.events_processed() + self.world.coalesced_hops
     }
 
     /// Packets that executed as extra members of a batched `Hop` event
@@ -1805,44 +1434,10 @@ impl Simulation {
     }
 
     /// Order-sensitive digest over every processed event `(timestamp,
-    /// kind, principal)`. Bit-equal digests across engines and worker
-    /// counts mean the parallel engine replayed the sequential event
-    /// order exactly — the property the PDES differential suite pins.
+    /// kind, principal)`. Bit-equal digests across queue backends mean
+    /// both executed the same events in the same order.
     pub fn order_digest(&self) -> u64 {
         self.world.order.value()
-    }
-
-    /// Events consumed inside parallel merge rounds (zero on the
-    /// sequential engine). A positive count proves a
-    /// [`Simulation::run_until_workers`] call actually took the
-    /// parallel path rather than the sequential fallback — the
-    /// differential suite asserts this so a silently-degraded engine
-    /// can't fake equivalence.
-    pub fn synthetic_events(&self) -> u64 {
-        self.world.synthetic
-    }
-
-    /// Declares the set of hosts `app` may touch. The conservative
-    /// parallel engine partitions hosts into independent groups from
-    /// these footprints; apps that never declare one force the
-    /// sequential fallback in [`Simulation::run_until_workers`].
-    ///
-    /// Scopes are enforced: once declared, a [`Ctx`] call referencing a
-    /// host outside the footprint panics (on every engine, so the
-    /// sequential oracle catches violations before a parallel run ever
-    /// sees them).
-    pub fn set_app_scope(&mut self, app: AppId, hosts: &[HostId]) {
-        self.world.app_scopes.insert(app, hosts.to_vec());
-    }
-
-    /// Overrides the adaptive-granularity ship threshold of the parallel
-    /// engine: a partition group whose window batch holds fewer events
-    /// executes coordinator-side (bit-identically) instead of paying the
-    /// per-group shipping overhead. Zero forces every group onto a
-    /// worker — the differential suite uses that to keep the worker path
-    /// fully exercised regardless of workload size.
-    pub fn set_parallel_ship_threshold(&mut self, events: usize) {
-        self.world.ship_threshold = events;
     }
 }
 
@@ -1856,10 +1451,7 @@ impl Drop for Simulation {
         if !m.enabled() {
             return;
         }
-        m.counter_add(
-            "sim.events_processed",
-            self.world.queue.events_processed() + self.world.synthetic + self.world.coalesced_hops,
-        );
+        m.counter_add("sim.events_processed", self.events_processed());
         m.counter_add("wire.dropped_packets", self.world.dropped_packets);
         if let Some(rt) = &self.world.fabric_rt {
             let (mut drops, mut pauses) = (0, 0);
@@ -1873,7 +1465,7 @@ impl Drop for Simulation {
         // One interned `nic.*` key per counter name for the whole
         // fabric, instead of a fresh format! per (host, counter) pair.
         let mut nic_keys = ragnar_telemetry::PrefixedInterner::new("nic.");
-        for nic in self.world.nics.iter().flatten() {
+        for nic in &self.world.nics {
             for (name, v) in nic.counters().snapshot().metric_entries() {
                 if v != 0 {
                     m.counter_add(nic_keys.get(name), v);
@@ -1885,81 +1477,19 @@ impl Drop for Simulation {
 
 /// The capability handle passed to application callbacks.
 pub struct Ctx<'a> {
-    world: CtxWorld<'a>,
+    world: &'a mut World,
     app: AppId,
-}
-
-/// What a [`Ctx`] is backed by: the world itself (sequential engine and
-/// parallel-coordinator callbacks) or a worker's checked-out slice of it
-/// (send apps executing inside a conservative round).
-enum CtxWorld<'a> {
-    Direct(&'a mut World),
-    Worker(&'a mut (dyn WorkerBackend + 'a)),
-}
-
-/// The subset of world operations a parallel worker can honor for a
-/// shipped send app: time, timers, verbs on checked-out NICs. Side
-/// effects are *cooked* into the worker's output stream, not applied.
-/// Implemented by the `parallel` module.
-trait WorkerBackend {
-    fn now(&self) -> SimTime;
-    /// The shipped app's declared scope (exact, so enforcement matches
-    /// the sequential engine's `check_scope`).
-    fn scope(&self) -> &[HostId];
-    fn set_timer(&mut self, app: AppId, delay: SimDuration, token: u64);
-    fn post_send(&mut self, qp: QpHandle, wr: WorkRequest) -> Result<(), VerbsError>;
-    fn nic(&self, host: HostId) -> &Rnic;
-    fn nic_mut(&mut self, host: HostId) -> &mut Rnic;
 }
 
 impl Ctx<'_> {
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        match &self.world {
-            CtxWorld::Direct(w) => w.now(),
-            CtxWorld::Worker(b) => b.now(),
-        }
+        self.world.now()
     }
 
     /// This app's id.
     pub fn app_id(&self) -> AppId {
         self.app
-    }
-
-    /// Enforces the app's declared host footprint (see
-    /// [`Simulation::set_app_scope`]). Apps without a declared scope are
-    /// unrestricted (and never run worker-side).
-    fn check_scope(&self, host: HostId) {
-        let in_scope = match &self.world {
-            CtxWorld::Direct(w) => w
-                .app_scopes
-                .get(&self.app)
-                .is_none_or(|scope| scope.contains(&host)),
-            CtxWorld::Worker(b) => b.scope().contains(&host),
-        };
-        assert!(
-            in_scope,
-            "app {} touched host {} outside its declared scope",
-            self.app.0, host.0
-        );
-    }
-
-    /// Panics if this app was registered via
-    /// [`Simulation::add_send_app`] — used by the world-RNG and
-    /// fabric-wide capabilities that cannot ship to a worker. Enforced
-    /// on the sequential engine too, so the oracle and the parallel
-    /// engine agree on which programs are valid.
-    fn deny_to_send_apps(&self, what: &str) {
-        let sendable = match &self.world {
-            CtxWorld::Direct(w) => w.app_sendable.get(self.app.0).copied().unwrap_or(false),
-            CtxWorld::Worker(_) => true,
-        };
-        assert!(
-            !sendable,
-            "app {}: {what} is not available to send apps (add_send_app); \
-             register via add_app to keep coordinator-side semantics",
-            self.app.0
-        );
     }
 
     /// Posts a work request.
@@ -1970,16 +1500,10 @@ impl Ctx<'_> {
     /// [`VerbsError::SendQueueFull`], which attack loops use for pacing,
     /// and [`VerbsError::QpInError`] after a fatal transport failure).
     pub fn post_send(&mut self, qp: QpHandle, wr: WorkRequest) -> Result<(), VerbsError> {
-        self.check_scope(qp.host);
-        match &mut self.world {
-            CtxWorld::Direct(w) => {
-                if qp.host.0 as usize >= w.nics.len() {
-                    return Err(VerbsError::UnknownHost(qp.host));
-                }
-                w.post_send(qp, wr).map_err(VerbsError::from)
-            }
-            CtxWorld::Worker(b) => b.post_send(qp, wr),
+        if qp.host.0 as usize >= self.world.nics.len() {
+            return Err(VerbsError::UnknownHost(qp.host));
         }
+        self.world.post_send(qp, wr).map_err(VerbsError::from)
     }
 
     /// Posts a receive WQE.
@@ -1988,35 +1512,21 @@ impl Ctx<'_> {
     ///
     /// The NIC's [`PostError`] mapped into [`VerbsError`].
     pub fn post_recv(&mut self, qp: QpHandle, recv: RecvWqe) -> Result<(), VerbsError> {
-        self.check_scope(qp.host);
-        match &mut self.world {
-            CtxWorld::Direct(w) => {
-                let nic = w
-                    .nics
-                    .get_mut(qp.host.0 as usize)
-                    .and_then(Option::as_mut)
-                    .ok_or(VerbsError::UnknownHost(qp.host))?;
-                nic.post_recv(qp.qp, recv).map_err(VerbsError::from)
-            }
-            CtxWorld::Worker(b) => b
-                .nic_mut(qp.host)
-                .post_recv(qp.qp, recv)
-                .map_err(VerbsError::from),
-        }
+        let nic = self
+            .world
+            .nics
+            .get_mut(qp.host.0 as usize)
+            .ok_or(VerbsError::UnknownHost(qp.host))?;
+        nic.post_recv(qp.qp, recv).map_err(VerbsError::from)
     }
 
     /// Whether `qp` sits in the Error state.
     pub fn qp_in_error(&self, qp: QpHandle) -> bool {
-        self.check_scope(qp.host);
-        let state = match &self.world {
-            CtxWorld::Direct(w) => w
-                .nics
-                .get(qp.host.0 as usize)
-                .and_then(Option::as_ref)
-                .and_then(|nic| nic.qp_transport(qp.qp)),
-            CtxWorld::Worker(b) => b.nic(qp.host).qp_transport(qp.qp),
-        };
-        state == Some(QpTransport::Error)
+        self.world
+            .nics
+            .get(qp.host.0 as usize)
+            .and_then(|nic| nic.qp_transport(qp.qp))
+            == Some(QpTransport::Error)
     }
 
     /// Resets an Error-state QP back to Ready (see
@@ -2026,166 +1536,83 @@ impl Ctx<'_> {
     ///
     /// Same contract as [`Simulation::recover_qp`].
     pub fn recover_qp(&mut self, qp: QpHandle) -> Result<(), VerbsError> {
-        self.check_scope(qp.host);
-        match &mut self.world {
-            CtxWorld::Direct(w) => {
-                let nic = w
-                    .nics
-                    .get_mut(qp.host.0 as usize)
-                    .and_then(Option::as_mut)
-                    .ok_or(VerbsError::UnknownHost(qp.host))?;
-                nic.reset_qp(qp.qp)?;
-                w.trace_qp_recover(qp);
-                Ok(())
-            }
-            // Worker-side recovery skips the trace hook: parallel
-            // eligibility already requires the tracer disabled.
-            CtxWorld::Worker(b) => b.nic_mut(qp.host).reset_qp(qp.qp).map_err(VerbsError::from),
-        }
+        let nic = self
+            .world
+            .nics
+            .get_mut(qp.host.0 as usize)
+            .ok_or(VerbsError::UnknownHost(qp.host))?;
+        nic.reset_qp(qp.qp)?;
+        self.world.trace_qp_recover(qp);
+        Ok(())
     }
 
     /// Fires `on_timer(token)` after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        let app = self.app;
-        match &mut self.world {
-            CtxWorld::Direct(w) => {
-                let at = w.now() + delay;
-                w.enqueue(at, WorldEvent::Timer { app, token });
-            }
-            CtxWorld::Worker(b) => b.set_timer(app, delay, token),
-        }
+        let at = self.world.now() + delay;
+        self.world.enqueue(
+            at,
+            WorldEvent::Timer {
+                app: self.app,
+                token,
+            },
+        );
     }
 
     /// Stops the event loop after the current callback returns.
-    ///
-    /// # Panics
-    ///
-    /// Unsupported inside a parallel merge round (a global stop is not a
-    /// per-host action); run such workloads with `workers = 1`.
     pub fn stop(&mut self) {
-        match &mut self.world {
-            CtxWorld::Direct(w) => {
-                assert!(
-                    w.round.is_none(),
-                    "Ctx::stop is not supported under run_until_workers"
-                );
-                w.stopped = true;
-            }
-            CtxWorld::Worker(_) => {
-                panic!("Ctx::stop is not supported under run_until_workers")
-            }
-        }
+        self.world.stopped = true;
     }
 
     /// A host's counters.
     pub fn counters(&self, host: HostId) -> &NicCounters {
-        self.check_scope(host);
-        match &self.world {
-            CtxWorld::Direct(w) => w.nic_ref(host).counters(),
-            CtxWorld::Worker(b) => b.nic(host).counters(),
-        }
+        self.world.nic_ref(host).counters()
     }
 
     /// A host's NIC.
     pub fn nic(&self, host: HostId) -> &Rnic {
-        self.check_scope(host);
-        match &self.world {
-            CtxWorld::Direct(w) => w.nic_ref(host),
-            CtxWorld::Worker(b) => b.nic(host),
-        }
+        self.world.nic_ref(host)
     }
 
     /// Writes into a host's memory.
     pub fn write_memory(&mut self, host: HostId, addr: u64, data: &[u8]) {
-        self.check_scope(host);
-        match &mut self.world {
-            CtxWorld::Direct(w) => w.nic_mut(host).memory_mut().write(addr, data),
-            CtxWorld::Worker(b) => b.nic_mut(host).memory_mut().write(addr, data),
-        }
+        self.world.nic_mut(host).memory_mut().write(addr, data);
     }
 
     /// Reads from a host's memory.
     pub fn read_memory(&self, host: HostId, addr: u64, len: u64) -> Vec<u8> {
-        self.check_scope(host);
-        match &self.world {
-            CtxWorld::Direct(w) => w.nic_ref(host).memory().read(addr, len),
-            CtxWorld::Worker(b) => b.nic(host).memory().read(addr, len),
-        }
+        self.world.nic_ref(host).memory().read(addr, len)
     }
 
     /// Deterministic app-level randomness, drawn from the world stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics for send apps on every engine: a worker cannot draw from
-    /// the world RNG without changing the sequential draw order. Send
-    /// apps derive a private [`SimRng`] at construction instead.
     pub fn rng(&mut self) -> &mut SimRng {
-        self.deny_to_send_apps("Ctx::rng");
-        match &mut self.world {
-            CtxWorld::Direct(w) => &mut w.rng,
-            CtxWorld::Worker(_) => unreachable!("denied above"),
-        }
+        &mut self.world.rng
     }
 
     /// Pauses a traffic class on a host's egress for `duration` — the
     /// enforcement half of a PFC defense app.
     pub fn pause_traffic_class(&mut self, host: HostId, tc: TrafficClass, duration: SimDuration) {
-        self.check_scope(host);
         let until = self.now() + duration;
-        match &mut self.world {
-            CtxWorld::Direct(w) => w.nic_mut(host).pause_tc(tc, until),
-            CtxWorld::Worker(b) => b.nic_mut(host).pause_tc(tc, until),
-        }
+        self.world.nic_mut(host).pause_tc(tc, until);
     }
 
     /// The installed topology, if this is a multi-hop fabric.
-    ///
-    /// # Panics
-    ///
-    /// Panics for send apps (fabric-wide state does not ship to
-    /// workers); keep topology-aware apps on [`Simulation::add_app`].
     pub fn topology(&self) -> Option<&Topology> {
-        self.deny_to_send_apps("Ctx::topology");
-        match &self.world {
-            CtxWorld::Direct(w) => w.fabric_rt.as_ref().map(|rt| rt.topology()),
-            CtxWorld::Worker(_) => unreachable!("denied above"),
-        }
+        self.world.fabric_rt.as_ref().map(|rt| rt.topology())
     }
 
     /// Per-link ingress counters (`None` without a topology) — what a
     /// per-port watchdog app samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics for send apps (fabric-wide state does not ship to
-    /// workers); keep watchdog apps on [`Simulation::add_app`].
     pub fn link_counters(&self, link: LinkId) -> Option<&PortCounters> {
-        self.deny_to_send_apps("Ctx::link_counters");
-        match &self.world {
-            CtxWorld::Direct(w) => w.fabric_rt.as_ref().map(|rt| rt.counters(link)),
-            CtxWorld::Worker(_) => unreachable!("denied above"),
-        }
+        self.world.fabric_rt.as_ref().map(|rt| rt.counters(link))
     }
 
     /// Silences one fabric link's transmitter for a traffic class — the
     /// per-port enforcement half of a PFC defense app. No-op without a
     /// topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics for send apps (fabric-wide state does not ship to
-    /// workers); keep defense apps on [`Simulation::add_app`].
     pub fn pause_link(&mut self, link: LinkId, tc: TrafficClass, duration: SimDuration) {
-        self.deny_to_send_apps("Ctx::pause_link");
         let until = self.now() + duration;
-        match &mut self.world {
-            CtxWorld::Direct(w) => {
-                if let Some(rt) = w.fabric_rt.as_mut() {
-                    rt.pause_link(link, tc, until);
-                }
-            }
-            CtxWorld::Worker(_) => unreachable!("denied above"),
+        if let Some(rt) = self.world.fabric_rt.as_mut() {
+            rt.pause_link(link, tc, until);
         }
     }
 }

@@ -76,7 +76,6 @@ fn build(seed: u64) -> (Simulation, HostId, QpNum) {
         mr: mr_b,
         rounds: 12,
     }));
-    sim.set_app_scope(app, &[a, b]);
     sim.own_qp(app, qa);
     (sim, a, qa.qp)
 }
@@ -104,20 +103,6 @@ fn clean_run_under_monitors_is_silent_and_bit_identical() {
         );
         assert_eq!(sim.monitor_violations(), Some(0));
     }
-}
-
-/// Monitors force the sequential engine: a parallel request under
-/// monitors still lands on the oracle's bits.
-#[test]
-fn monitored_parallel_request_falls_back_to_oracle() {
-    let horizon = SimTime::from_micros(200);
-    let _guard = AmbientGuard::install(Some(cfg(ViolationPolicy::FailCell, 64)));
-    let (mut seq, _, _) = build(9);
-    seq.run_until(horizon);
-    let (mut par, _, _) = build(9);
-    par.run_until_workers(horizon, 8);
-    assert_eq!(seq.order_digest(), par.order_digest());
-    assert_eq!(seq.events_processed(), par.events_processed());
 }
 
 /// Under the `Log` policy a planted arena-ledger skew is counted (once

@@ -364,12 +364,6 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Removes and returns the earliest pending event, advancing the
-    /// clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_with_seq().map(|(at, _, e)| (at, e))
-    }
-
     /// Removes and returns the earliest event only if it fires at or
     /// before `deadline`.
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
@@ -380,9 +374,9 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// [`pop`](CalendarQueue::pop) with the insertion sequence number
-    /// exposed (see [`EventSchedule::pop_with_seq`]).
-    pub fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
+    /// Removes and returns the earliest pending event, advancing the
+    /// clock to its timestamp.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let _p = profile::enter(Phase::QueuePop);
         loop {
             self.refill();
@@ -401,17 +395,7 @@ impl<E> CalendarQueue<E> {
             self.now = at;
             self.popped += 1;
             self.sample_depth(self.popped);
-            return Some((at, entry.seq, event));
-        }
-    }
-
-    /// [`pop_before`](CalendarQueue::pop_before) with the insertion
-    /// sequence number exposed.
-    pub fn pop_with_seq_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
-        if self.peek_time()? <= deadline {
-            self.pop_with_seq()
-        } else {
-            None
+            return Some((at, event));
         }
     }
 
@@ -642,9 +626,6 @@ impl<E> EventSchedule<E> for CalendarQueue<E> {
     }
     fn pop(&mut self) -> Option<(SimTime, E)> {
         CalendarQueue::pop(self)
-    }
-    fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
-        CalendarQueue::pop_with_seq(self)
     }
     fn clear(&mut self) {
         CalendarQueue::clear(self)

@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 mod calendar;
+mod digest;
 mod fxmap;
 mod monitor;
 mod queue;
@@ -51,6 +52,7 @@ mod supervise;
 mod time;
 
 pub use calendar::CalendarQueue;
+pub use digest::Digest64;
 pub use fxmap::{FxHashMap, FxHashSet, FxHasher};
 pub use monitor::{ambient_monitors, set_ambient_monitors, MonitorConfig, ViolationPolicy};
 pub use queue::{EventHandle, EventSchedule, ReferenceQueue};

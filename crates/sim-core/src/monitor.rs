@@ -8,10 +8,10 @@
 //!
 //! This module holds only the domain-agnostic configuration surface: the
 //! [`ViolationPolicy`], the [`MonitorConfig`] knob set, and the ambient
-//! process-wide installation the harness `--monitors` flag drives (the
-//! same pattern as `pdes::set_ambient_workers`). The monitors themselves
-//! live with the state they watch (`rdma-verbs::monitors`); violation
-//! *raising* is also done there, where telemetry is in scope.
+//! process-wide installation the harness `--monitors` flag drives. The
+//! monitors themselves live with the state they watch
+//! (`rdma-verbs::monitors`); violation *raising* is also done there,
+//! where telemetry is in scope.
 //!
 //! Monitoring is observational: it never changes artifacts or cache keys
 //! (a violation under `FailCell`/`AbortRun` fails the run loudly rather
@@ -83,7 +83,7 @@ static AMBIENT_CADENCE: AtomicU64 = AtomicU64::new(1024);
 /// Installs (or clears, with `None`) the process-wide monitor config
 /// that newly-constructed simulations pick up. The harness sets this
 /// from `--monitors <policy>` before dispatching cells; like
-/// `--threads`/`--workers` it never reaches configs or cache keys.
+/// `--threads` it never reaches configs or cache keys.
 pub fn set_ambient_monitors(cfg: Option<MonitorConfig>) {
     match cfg {
         None => AMBIENT_POLICY.store(0, Ordering::Relaxed),

@@ -100,22 +100,6 @@ pub trait EventSchedule<E> {
         }
     }
 
-    /// Like [`pop`](EventSchedule::pop), but also exposes the event's
-    /// insertion sequence number — the FIFO tiebreak among equal
-    /// timestamps. Parallel engines use `(at, seq)` as the deterministic
-    /// merge key when draining a batch of events.
-    fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)>;
-
-    /// Like [`pop_before`](EventSchedule::pop_before) with the insertion
-    /// sequence number exposed.
-    fn pop_with_seq_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
-        if self.peek_time()? <= deadline {
-            self.pop_with_seq()
-        } else {
-            None
-        }
-    }
-
     /// Drops all pending events without touching the clock.
     fn clear(&mut self);
 }
@@ -282,12 +266,6 @@ impl<E> ReferenceQueue<E> {
         None
     }
 
-    /// Removes and returns the earliest pending event, advancing the
-    /// clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_with_seq().map(|(at, _, e)| (at, e))
-    }
-
     /// Removes and returns the earliest event only if it fires at or
     /// before `deadline`.
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
@@ -298,9 +276,9 @@ impl<E> ReferenceQueue<E> {
         }
     }
 
-    /// [`pop`](ReferenceQueue::pop) with the insertion sequence number
-    /// exposed (see [`EventSchedule::pop_with_seq`]).
-    pub fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
+    /// Removes and returns the earliest pending event, advancing the
+    /// clock to its timestamp.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let _p = profile::enter(Phase::QueuePop);
         loop {
             let s = self.heap.pop()?;
@@ -310,17 +288,7 @@ impl<E> ReferenceQueue<E> {
             debug_assert!(s.at >= self.now, "event queue time went backwards");
             self.now = s.at;
             self.popped += 1;
-            return Some((s.at, s.seq, s.event));
-        }
-    }
-
-    /// [`pop_before`](ReferenceQueue::pop_before) with the insertion
-    /// sequence number exposed.
-    pub fn pop_with_seq_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64, E)> {
-        if self.peek_time()? <= deadline {
-            self.pop_with_seq()
-        } else {
-            None
+            return Some((s.at, s.event));
         }
     }
 
@@ -352,9 +320,6 @@ impl<E> EventSchedule<E> for ReferenceQueue<E> {
     }
     fn pop(&mut self) -> Option<(SimTime, E)> {
         ReferenceQueue::pop(self)
-    }
-    fn pop_with_seq(&mut self) -> Option<(SimTime, u64, E)> {
-        ReferenceQueue::pop_with_seq(self)
     }
     fn clear(&mut self) {
         ReferenceQueue::clear(self)

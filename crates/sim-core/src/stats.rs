@@ -122,7 +122,7 @@ impl OnlineStats {
 ///
 /// The paper's figures report the average plus the 10th/90th percentile
 /// band; [`Summary::from_samples`] computes exactly that.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -253,7 +253,7 @@ pub fn linear_fit(x: &[f64], y: &[f64]) -> LineFit {
 
 /// A recorded time series of `(instant, value)` points, e.g. a bandwidth
 /// counter sampled over time or per-message latencies.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }

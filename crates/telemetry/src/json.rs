@@ -1,8 +1,7 @@
 //! Minimal hand-rolled JSON encoding.
 //!
 //! This crate sits below the harness (which owns the full `Value`
-//! parser), and the vendored serde is a no-op marker stub, so the
-//! exporters carry their own encoder: deterministic, shortest-roundtrip
+//! parser), so the exporters carry their own encoder: deterministic, shortest-roundtrip
 //! floats, the same escaping rules as the harness encoder.
 
 use crate::event::{ArgValue, Event, EventKind};

@@ -1,7 +1,6 @@
 //! Engine self-profiler: scoped wall-clock timers attributing run time
-//! to engine **phases** (queue pop, app execute, PDES OutEntry cooking,
-//! merge-heap drain, worker idle, arena alloc/free, chaos injection,
-//! telemetry flush).
+//! to engine **phases** (queue schedule/pop, app execute, arena
+//! alloc/free, chaos injection, telemetry flush).
 //!
 //! # Zero overhead when disabled
 //!
@@ -27,8 +26,8 @@
 //! # Threading
 //!
 //! Each thread accumulates into its own lock-free slot array
-//! (registered once, on first use, into a global registry), so PDES
-//! worker threads profile without contending with the coordinator.
+//! (registered once, on first use, into a global registry), so the
+//! harness's cell threads profile without contending with each other.
 //! [`snapshot`] folds all threads' slots into one [`ProfileReport`].
 //! Nested spans are **inclusive**: a `QueuePop` span opened inside an
 //! `Execute` span bills both phases for the overlap.
@@ -92,37 +91,26 @@ fn ns_per_tick() -> f64 {
 pub enum Phase {
     /// Event-queue inserts (`schedule`) on either backend.
     QueueSchedule = 0,
-    /// Event-queue pops (`pop_before` / `pop_with_seq_before`).
+    /// Event-queue pops (`pop` / `pop_before`).
     QueuePop = 1,
     /// Application/NIC event execution (the simulation's real work).
     Execute = 2,
-    /// PDES worker-side OutEntry cooking (`process_group`).
-    OutCook = 3,
-    /// PDES coordinator merge-heap drain (ordered replay of worker
-    /// output streams).
-    MergeDrain = 4,
-    /// PDES worker threads blocked waiting for the next job (barrier /
-    /// idle time).
-    WorkerIdle = 5,
     /// Packet-arena allocations (`insert`).
-    ArenaAlloc = 6,
+    ArenaAlloc = 3,
     /// Packet-arena frees (`take` / `free`).
-    ArenaFree = 7,
+    ArenaFree = 4,
     /// Chaos fault-injection verdicts on the wire hop.
-    Chaos = 8,
+    Chaos = 5,
     /// Telemetry session finish / trace serialization / report writing.
-    Flush = 9,
+    Flush = 6,
 }
 
 impl Phase {
     /// Every phase, in stable order.
-    pub const ALL: [Phase; 10] = [
+    pub const ALL: [Phase; 7] = [
         Phase::QueueSchedule,
         Phase::QueuePop,
         Phase::Execute,
-        Phase::OutCook,
-        Phase::MergeDrain,
-        Phase::WorkerIdle,
         Phase::ArenaAlloc,
         Phase::ArenaFree,
         Phase::Chaos,
@@ -135,9 +123,6 @@ impl Phase {
             Phase::QueueSchedule => "queue_schedule",
             Phase::QueuePop => "queue_pop",
             Phase::Execute => "execute",
-            Phase::OutCook => "out_cook",
-            Phase::MergeDrain => "merge_drain",
-            Phase::WorkerIdle => "worker_idle",
             Phase::ArenaAlloc => "arena_alloc",
             Phase::ArenaFree => "arena_free",
             Phase::Chaos => "chaos",
@@ -390,19 +375,19 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    let _span = enter(Phase::WorkerIdle);
+                    let _span = enter(Phase::Execute);
                 });
             }
         });
         set_enabled(false);
         let report = snapshot();
-        let idle = report
+        let execute = report
             .phases
             .iter()
-            .find(|(p, _)| *p == Phase::WorkerIdle)
+            .find(|(p, _)| *p == Phase::Execute)
             .map(|(_, t)| *t)
             .expect("phase present");
-        assert_eq!(idle.calls, 4);
+        assert_eq!(execute.calls, 4);
         reset();
     }
 
