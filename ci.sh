@@ -118,6 +118,13 @@ if cargo run --release --offline -p ragnar-bench --bin bench_diff -- \
 fi
 rm -f /tmp/ragnar-ci-baseline.json /tmp/ragnar-ci-regressed.json
 
+echo "== CLI gate: an argument no experiment reads is a usage error"
+if cargo run --release --offline -p ragnar-bench --bin fig5_mr_uli -- \
+    --quick --no-cache --workers 8 > /dev/null 2>&1; then
+    echo "fig5_mr_uli accepted the unknown argument --workers"
+    exit 1
+fi
+
 echo "== cargo clippy (harness crate, standalone)"
 cargo clippy -p ragnar-harness --all-targets --offline -- -D warnings
 

@@ -12,9 +12,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use ragnar_telemetry::json::Value;
+
 use crate::experiment::{Artifact, Config};
 use crate::hash::content_hash;
-use crate::value::Value;
 
 /// On-disk layout version; part of every cache key, so bumping it
 /// invalidates all previous entries at once. v2 added the whole-entry
@@ -93,7 +94,7 @@ impl ResultStore {
         }
         Some(StoredRun {
             config: Config::from_value(v.get("config")?)?,
-            seed: v.get("seed")?.as_i64()? as u64,
+            seed: stored_seed(v.get("seed")?)?,
             artifact,
             artifact_hash,
             elapsed_ms: v.get("elapsed_ms")?.as_f64()?,
@@ -167,6 +168,13 @@ impl ResultStore {
     }
 }
 
+/// A cell seed as written in an entry: the `u64` decimal, or the
+/// negative `i64` spelling that entries written before the encoder
+/// widened its integers carry for seeds above `i64::MAX`.
+fn stored_seed(v: &Value) -> Option<u64> {
+    v.as_u64().or_else(|| v.as_i64().map(|i| i as u64))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +206,36 @@ mod tests {
             .expect("sidecar");
         assert!(store.dir().join("k1.metrics.json").exists());
         assert_eq!(store.len(), 1);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    /// Seeds above `i64::MAX` are written as their `u64` decimal and
+    /// read back exactly; entries carrying the older negative spelling
+    /// of the same seed still load as hits.
+    #[test]
+    fn high_seeds_roundtrip_in_both_spellings() {
+        let root = scratch_dir("seed");
+        let store = ResultStore::open(&root, "unit").expect("open");
+        let seed = 12_930_462_039_870_579_038u64; // > i64::MAX
+        let art = Artifact::text("x");
+        store
+            .store("k1", &Config::new(), seed, 1, &art, 0.1)
+            .expect("store");
+        let path = store.dir().join("k1.json");
+        let text = fs::read_to_string(&path).expect("read");
+        let (body, _) = text.rsplit_once(CHECKSUM_TRAILER).expect("trailer");
+        assert!(body.contains(&format!("\"seed\":{seed},")), "{body}");
+        assert_eq!(store.load("k1").expect("hit").seed, seed);
+
+        // The same entry with the negative spelling and its own checksum.
+        let legacy = body.replace(&seed.to_string(), &(seed as i64).to_string());
+        assert!(
+            legacy.contains("\"seed\":-5516282033838972578,"),
+            "{legacy}"
+        );
+        let checksum = content_hash(legacy.as_bytes());
+        fs::write(&path, format!("{legacy}{CHECKSUM_TRAILER}{checksum}")).expect("write");
+        assert_eq!(store.load("k1").expect("legacy hit").seed, seed);
         let _ = fs::remove_dir_all(&root);
     }
 

@@ -46,8 +46,11 @@
 //!
 //! Experiment-specific switches (fig4's `--full`, fig13's `--coarse`,
 //! table5's `--bits <n>`, …) are passed through and queried via
-//! [`Cli::flag`] / [`Cli::option_u64`] from `Experiment::params`.
+//! [`Cli::flag`] / [`Cli::option_u64`] from `Experiment::params`. An
+//! argument that neither the shared parser nor any such query reads is
+//! a usage error, so a typo or a removed flag cannot pass silently.
 
+use std::cell::RefCell;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
@@ -57,7 +60,7 @@ use crate::executor::{self, ExecOptions, TelemetrySpec};
 use crate::experiment::{Experiment, Outcome, RunRecord};
 use crate::manifest::Manifest;
 use crate::report::RunReport;
-use crate::value::Value;
+use ragnar_telemetry::json::Value;
 use ragnar_telemetry::profile::{self, Phase};
 use ragnar_telemetry::{chrome_trace_json, TargetSet, TraceCell};
 use ragnar_topology::TopologySpec;
@@ -118,6 +121,9 @@ pub struct Cli {
     pub only: Option<String>,
     /// Unrecognised arguments, available to experiments.
     extras: Vec<String>,
+    /// Which `extras` a [`Cli::flag`] / [`Cli::option_u64`] query has
+    /// read; [`run_with_cli`] rejects the rest after `Experiment::params`.
+    consumed: RefCell<Vec<bool>>,
 }
 
 impl Default for Cli {
@@ -141,6 +147,7 @@ impl Default for Cli {
             monitors: None,
             only: None,
             extras: Vec::new(),
+            consumed: RefCell::default(),
         }
     }
 }
@@ -213,23 +220,52 @@ impl Cli {
                 _ => cli.extras.push(arg),
             }
         }
+        cli.consumed = RefCell::new(vec![false; cli.extras.len()]);
         Ok(cli)
     }
 
     /// Whether an experiment-specific boolean switch was passed.
     pub fn flag(&self, name: &str) -> bool {
-        self.extras.iter().any(|a| a == name)
+        let mut found = false;
+        for (arg, read) in self
+            .extras
+            .iter()
+            .zip(self.consumed.borrow_mut().iter_mut())
+        {
+            if arg == name {
+                *read = true;
+                found = true;
+            }
+        }
+        found
     }
 
-    /// The value of an experiment-specific `--name <u64>` option.
+    /// The value of an experiment-specific `--name <u64>` option. The
+    /// name and its value count as read only when the value parses.
     pub fn option_u64(&self, name: &str) -> Option<u64> {
         let pos = self.extras.iter().position(|a| a == name)?;
-        self.extras.get(pos + 1)?.parse().ok()
+        let value = self.extras.get(pos + 1)?.parse().ok()?;
+        let mut consumed = self.consumed.borrow_mut();
+        consumed[pos] = true;
+        consumed[pos + 1] = true;
+        Some(value)
     }
 
     /// Extra arguments that are not shared flags.
     pub fn extras(&self) -> &[String] {
         &self.extras
+    }
+
+    /// Extra arguments that no [`Cli::flag`] / [`Cli::option_u64`]
+    /// query has read so far, in command-line order.
+    fn unread_extras(&self) -> Vec<&str> {
+        let consumed = self.consumed.borrow();
+        self.extras
+            .iter()
+            .zip(consumed.iter())
+            .filter(|(_, read)| !**read)
+            .map(|(a, _)| a.as_str())
+            .collect()
     }
 }
 
@@ -318,6 +354,15 @@ pub fn run_with_cli(exp: &dyn Experiment, cli: &Cli) -> Result<usize, String> {
 
     let t0 = Instant::now();
     let mut configs = exp.params(cli);
+    let unread = cli.unread_extras();
+    if !unread.is_empty() {
+        return Err(format!(
+            "unrecognised argument{} '{}'\n{}",
+            if unread.len() > 1 { "s" } else { "" },
+            unread.join("' '"),
+            usage(exp)
+        ));
+    }
     if let Some(needle) = &cli.only {
         configs.retain(|c| c.label().contains(needle.as_str()));
         if configs.is_empty() {
@@ -590,6 +635,70 @@ mod tests {
         ] {
             assert_eq!(parse(&["--monitors", raw]).monitors, Some(policy));
         }
+    }
+}
+
+#[cfg(test)]
+mod unread_arguments {
+    use super::*;
+    use crate::experiment::{Artifact, Config};
+
+    fn parse(args: &[&str]) -> Cli {
+        Cli::parse(args.iter().map(|s| s.to_string())).expect("parse")
+    }
+
+    /// Reads `--full` and `--bits <n>` the way the cluster experiments do.
+    struct Probe;
+
+    impl Experiment for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+
+        fn params(&self, cli: &Cli) -> Vec<Config> {
+            let bits = cli.option_u64("--bits").unwrap_or(64);
+            vec![Config::new()
+                .with("bits", bits)
+                .with("full", cli.flag("--full"))]
+        }
+
+        fn run(&self, _config: &Config, _seed: u64) -> Result<Artifact, String> {
+            Ok(Artifact::text(""))
+        }
+    }
+
+    #[test]
+    fn queries_mark_what_they_read() {
+        let cli = parse(&["--quick", "--full", "--bits", "256", "--coarse", "--full"]);
+        assert_eq!(
+            cli.unread_extras(),
+            ["--full", "--bits", "256", "--coarse", "--full"]
+        );
+        Probe.params(&cli);
+        assert_eq!(cli.unread_extras(), ["--coarse"]);
+        // A value that does not parse leaves the option and value unread.
+        let cli = parse(&["--bits", "many"]);
+        assert_eq!(Probe.params(&cli)[0].u64("bits"), Some(64));
+        assert_eq!(cli.unread_extras(), ["--bits", "many"]);
+    }
+
+    /// A removed flag or a typo is a usage error naming it, not a run
+    /// on the defaults.
+    #[test]
+    fn unknown_arguments_are_a_usage_error() {
+        let cli = parse(&["--quick", "--no-cache", "--workers", "8", "--thread", "3"]);
+        let err = run_with_cli(&Probe, &cli).expect_err("unknown flags rejected");
+        assert!(
+            err.starts_with("unrecognised arguments '--workers' '8' '--thread' '3'\n"),
+            "{err}"
+        );
+        assert!(err.contains("usage: probe"), "{err}");
+        let cli = parse(&["--no-cache", "--fulll"]);
+        let err = run_with_cli(&Probe, &cli).expect_err("typo rejected");
+        assert!(
+            err.starts_with("unrecognised argument '--fulll'\n"),
+            "{err}"
+        );
     }
 }
 

@@ -11,7 +11,7 @@
 //! on identical builds they must match exactly, and any drift is a real
 //! behaviour change, not scheduling noise.
 
-use crate::value::Value;
+use ragnar_telemetry::json::Value;
 
 /// Path substrings skipped by default: wall-clock and cache-state
 /// material that legitimately differs between identical runs.

@@ -1,8 +1,9 @@
 //! The [`Experiment`] abstraction: a named, parameterised, seedable
 //! unit of reproduction that every figure/table of the paper implements.
 
+use ragnar_telemetry::json::Value;
+
 use crate::cli::Cli;
-use crate::value::Value;
 
 /// One point in an experiment's parameter space.
 ///
@@ -50,7 +51,7 @@ impl Config {
 
     /// Fetches an unsigned integer field.
     pub fn u64(&self, key: &str) -> Option<u64> {
-        self.get(key).and_then(Value::as_i64).map(|i| i as u64)
+        self.get(key).and_then(Value::as_u64)
     }
 
     /// Fetches a float field.

@@ -56,7 +56,6 @@ pub mod experiment;
 pub mod hash;
 pub mod manifest;
 pub mod report;
-pub mod value;
 
 pub use cache::ResultStore;
 pub use cli::{run_main, run_with_cli, Cli};
@@ -64,5 +63,5 @@ pub use diff::{diff_values, DiffReport};
 pub use executor::{config_seed, retry_backoff, ExecOptions, TelemetrySpec};
 pub use experiment::{Artifact, Config, Experiment, Outcome, RunRecord};
 pub use manifest::Manifest;
+pub use ragnar_telemetry::json::Value;
 pub use report::RunReport;
-pub use value::Value;

@@ -13,9 +13,10 @@ use std::io::{self, Write as _};
 use std::path::Path;
 use std::time::{SystemTime, UNIX_EPOCH};
 
+use ragnar_telemetry::json::Value;
+
 use crate::experiment::{Outcome, RunRecord};
 use crate::hash::content_hash;
-use crate::value::Value;
 
 /// Summary of one harness invocation.
 #[derive(Debug, Clone)]

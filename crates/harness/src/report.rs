@@ -18,12 +18,12 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
+use ragnar_telemetry::json::Value;
 use ragnar_telemetry::profile::ProfileReport;
 use ragnar_telemetry::{Histogram, HistogramSummary};
 
 use crate::experiment::{Outcome, RunRecord};
 use crate::manifest::Manifest;
-use crate::value::Value;
 
 /// How many counters the markdown report lists (the JSON keeps all).
 const TOP_COUNTERS: usize = 20;
@@ -189,14 +189,7 @@ impl RunReport {
         }
         timing.set("stage_ms", stages);
         if let Some(p) = &self.profile {
-            let mut phases = Value::object();
-            for (phase, total) in &p.phases {
-                let mut entry = Value::object();
-                entry.set("ns", total.ns);
-                entry.set("calls", total.calls);
-                phases.set(phase.name(), entry);
-            }
-            timing.set("profile", phases);
+            timing.set("profile", p.to_value());
         }
         v.set("timing", timing);
         v

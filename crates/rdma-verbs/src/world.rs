@@ -401,9 +401,6 @@ struct World {
     orphan_cqes: Vec<(HostId, Cqe)>,
     stopped: bool,
     rng: SimRng,
-    /// Probability that any wire packet is dropped by the fabric
-    /// (deterministic given the seed). Zero by default.
-    loss_rate: f64,
     dropped_packets: u64,
     /// Deterministic fault injector evaluated at the wire hop; `None`
     /// (the default) leaves the fabric untouched and every RNG stream
@@ -607,7 +604,7 @@ impl World {
         }
     }
 
-    /// Puts one packet on the wire at `at`: loss/chaos verdicts, then
+    /// Puts one packet on the wire at `at`: chaos verdicts, then
     /// either the first fabric hop or the legacy single-switch delivery.
     fn transmit(&mut self, host: HostId, at: SimTime, pkt: PacketHandle) {
         self.fabric.sent += 1;
@@ -617,15 +614,8 @@ impl World {
         };
         if self.fabric_rt.is_some() {
             // Fabric mode: ECMP-route the flow and walk the
-            // links hop by hop. Loss/chaos verdicts happen
+            // links hop by hop. Chaos verdicts happen
             // per hop, where the packet physically is.
-            if self.loss_rate > 0.0 && self.rng.chance(self.loss_rate) {
-                let rt = self.fabric_rt.as_ref().expect("fabric mode");
-                let up = rt.topology().host_uplink(src);
-                self.note_link_drop(up, src, dst);
-                self.arena.free(pkt);
-                return;
-            }
             let (src_qp, dst_qp) = {
                 let p = self.arena.get(pkt);
                 (p.src_qp, p.dst_qp)
@@ -634,13 +624,6 @@ impl World {
             let key = FlowKey::new(src, dst, src_qp.0, dst_qp.0);
             let route = rt.topology().route(src, dst, key);
             self.enqueue_hop(at, route, 0, pkt, false);
-            return;
-        }
-        // Legacy uniform loss draws from the world RNG first so
-        // that chaos-free runs keep their exact RNG stream.
-        if self.loss_rate > 0.0 && self.rng.chance(self.loss_rate) {
-            self.note_wire_drop(host, dst);
-            self.arena.free(pkt);
             return;
         }
         let prop = self.nic_ref(host).profile().wire_propagation + self.switch_latency;
@@ -930,7 +913,6 @@ impl Simulation {
                 orphan_cqes: Vec::new(),
                 stopped: false,
                 rng: SimRng::derive(seed, "world"),
-                loss_rate: 0.0,
                 dropped_packets: 0,
                 injector: None,
                 fabric: FabricStats::default(),
@@ -1150,20 +1132,8 @@ impl Simulation {
         self.world.nic_mut(host).memory_mut()
     }
 
-    /// Sets the fabric's packet-loss probability (0 disables; default).
-    /// Lost messages are recovered by the NICs' retransmission timers;
-    /// `1.0` (total loss) exercises retry exhaustion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is outside `[0, 1]`.
-    pub fn set_loss_rate(&mut self, rate: f64) {
-        assert!((0.0..=1.0).contains(&rate), "loss rate out of range");
-        self.world.loss_rate = rate;
-    }
-
-    /// Packets dropped by the fabric so far (uniform loss plus injected
-    /// faults; ICRC discards are counted separately).
+    /// Packets dropped by the fabric so far (injected faults; ICRC
+    /// discards are counted separately).
     pub fn dropped_packets(&self) -> u64 {
         self.world.dropped_packets
     }
@@ -2093,8 +2063,16 @@ mod tests {
 
     #[test]
     fn fabric_loss_attributes_to_the_dropping_link() {
+        use ragnar_chaos::{FaultEvent, FaultKind, LinkSelector};
         let (mut sim, qa, mr_b) = fabric_pair(5, None);
-        sim.set_loss_rate(1.0);
+        let mut plan = FaultPlan::empty(5);
+        plan.events.push(FaultEvent {
+            link: LinkSelector::Any,
+            from: SimTime::ZERO,
+            until: SimTime::MAX,
+            kind: FaultKind::LossBurst { rate: 1.0 },
+        });
+        sim.install_fault_plan(&plan);
         sim.post_send(
             qa,
             WorkRequest::read(1, 0x100000, mr_b.addr(0), mr_b.key, 64),
@@ -2102,7 +2080,7 @@ mod tests {
         .expect("post");
         sim.run_until(SimTime::from_micros(200));
         assert!(sim.dropped_packets() > 0);
-        // Total loss fires at transmit: every drop happens on the
+        // Total loss fires at the first hop: every drop happens on the
         // sender's uplink and is attributed there — and to the sender's
         // NIC, but never to the receiver, which the packets never reached.
         let uplink = sim.topology().expect("topo").host_uplink(qa.host);

@@ -1,11 +1,25 @@
 //! Failure injection: packet loss on the fabric, recovered by the NICs'
 //! retransmission machinery.
 
+use ragnar_chaos::{FaultEvent, FaultKind, FaultPlan, LinkSelector};
 use rdma_verbs::{
     AccessFlags, ConnectOptions, CqeStatus, DeviceProfile, NakReason, RecvWqe, Simulation,
     VerbsError, WorkRequest,
 };
 use sim_core::SimTime;
+
+/// Drops every packet on every link with probability `rate`, for the
+/// whole run.
+fn lose(sim: &mut Simulation, seed: u64, rate: f64) {
+    let mut plan = FaultPlan::empty(seed);
+    plan.events.push(FaultEvent {
+        link: LinkSelector::Any,
+        from: SimTime::ZERO,
+        until: SimTime::MAX,
+        kind: FaultKind::LossBurst { rate },
+    });
+    sim.install_fault_plan(&plan);
+}
 
 fn lossy_pair(seed: u64, loss: f64) -> (Simulation, rdma_verbs::QpHandle, rdma_verbs::MrHandle) {
     let mut sim = Simulation::new(seed);
@@ -24,7 +38,7 @@ fn lossy_pair(seed: u64, loss: f64) -> (Simulation, rdma_verbs::QpHandle, rdma_v
             ..ConnectOptions::default()
         },
     );
-    sim.set_loss_rate(loss);
+    lose(&mut sim, seed, loss);
     (sim, qp, mr)
 }
 
@@ -112,7 +126,7 @@ fn atomics_execute_exactly_once_under_loss() {
 
 #[test]
 fn total_loss_exhausts_retries() {
-    // A fully dead fabric (loss 1.0 is legal now) exhausts the retry
+    // A fully dead fabric (loss rate 1.0) exhausts the retry
     // budget with exponential backoff, errors the QP, and the verbs
     // recovery ladder brings it back.
     let (mut sim, qp, mr) = lossy_pair(5, 1.0);
@@ -129,7 +143,7 @@ fn total_loss_exhausts_retries() {
         .expect_err("error-state QP rejects posts");
     assert_eq!(err, VerbsError::QpInError);
     // Recover and verify the QP works again on a healthy fabric.
-    sim.set_loss_rate(0.0);
+    sim.clear_fault_plan();
     sim.recover_qp(qp).expect("recover after drain");
     assert!(!sim.qp_in_error(qp));
     sim.post_send(qp, WorkRequest::read(2, 0x1000, mr.addr(0), mr.key, 64))
@@ -190,7 +204,7 @@ fn send_without_recv_exhausts_rnr_budget_then_recovers() {
     let pd_b = sim.alloc_pd(b);
     let _mr = sim.register_mr(b, pd_b, 1 << 21, AccessFlags::remote_all());
     let (qp, peer) = sim.connect(a, pd_a, b, pd_b, ConnectOptions::default());
-    sim.set_loss_rate(0.1);
+    lose(&mut sim, 47, 0.1);
     sim.write_memory(a, 0x1000, b"nobody listening");
     sim.post_send(qp, WorkRequest::send(1, 0x1000, 16))
         .expect("post");
@@ -208,7 +222,7 @@ fn send_without_recv_exhausts_rnr_budget_then_recovers() {
     );
 
     // Recover, post the missing receive, and the same Send goes through.
-    sim.set_loss_rate(0.0);
+    sim.clear_fault_plan();
     sim.recover_qp(qp).expect("recover after drain");
     sim.post_recv(
         peer,

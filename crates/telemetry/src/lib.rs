@@ -5,10 +5,17 @@
 //! the verbs fabric, the chaos injector, the measurement harness — emits
 //! typed span/instant/counter events tagged with a [`Target`] (the
 //! emitting crate), a stable [`ActorId`] (host + lane), and a
-//! picosecond sim-time timestamp. Events flow into a [`Collector`]
-//! ([`NullCollector`], [`RingCollector`], [`StreamCollector`]); scalar
-//! observables flow into a [`Metrics`] registry of counters, gauges and
-//! log-linear HDR-style latency [`Histogram`]s.
+//! picosecond sim-time timestamp. Events flow into the [`Tracer`]'s
+//! bounded ring, one per [`Session`], and leave as a Perfetto trace
+//! ([`chrome_trace_json`]); scalar observables flow into a [`Metrics`]
+//! registry of counters, gauges and log-linear HDR-style latency
+//! [`Histogram`]s.
+//!
+//! The crate sits at the bottom of the dependency graph, so it also
+//! owns the workspace's one JSON layer, [`json::Value`]: the harness
+//! writes artifacts, cache entries, manifests and reports with it, and
+//! the metrics sidecars and trace exporter here share its escaper and
+//! float writer.
 //!
 //! # Zero overhead when disabled
 //!
@@ -48,18 +55,16 @@
 
 #![warn(missing_docs)]
 
-mod collector;
 mod event;
 mod histogram;
 mod intern;
-mod json;
+pub mod json;
 mod metrics;
 mod perfetto;
 pub mod profile;
 mod scope;
 mod tracer;
 
-pub use collector::{Collector, NullCollector, RingCollector, StreamCollector};
 pub use event::{ActorId, ArgValue, Event, EventKind, Level, Target, TargetSet};
 pub use histogram::{Histogram, HistogramSummary};
 pub use intern::PrefixedInterner;

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::histogram::{Histogram, HistogramSummary};
-use crate::json;
+use crate::json::Value;
 
 #[derive(Debug, Default)]
 struct Registry {
@@ -166,70 +166,51 @@ impl MetricsReport {
         self.histograms.iter().map(|(_, h)| h.count).sum()
     }
 
-    /// Encodes the report as compact JSON.
-    pub fn to_json(&self) -> String {
-        self.to_json_tagged(false)
-    }
-
-    /// Encodes the report as compact JSON, optionally tagging it
+    /// The report as a JSON object, optionally tagged
     /// `"incomplete": true` — the salvage-path marker for metrics
     /// harvested from timed-out or quarantined cells, whose counts only
     /// cover the portion of the cell that actually ran.
-    pub fn to_json_tagged(&self, incomplete: bool) -> String {
-        let mut out = String::with_capacity(256);
-        out.push('{');
+    pub fn to_value(&self, incomplete: bool) -> Value {
+        let mut v = Value::object();
         if incomplete {
-            out.push_str("\"incomplete\":true,");
+            v.set("incomplete", true);
         }
-        out.push_str("\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::string(k, &mut out);
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::string(k, &mut out);
-            out.push(':');
-            json::float(*v, &mut out);
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::string(k, &mut out);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"min_ps\":{},\"max_ps\":{},\"mean_ps\":",
-                h.count, h.min, h.max
-            ));
-            json::float(h.mean, &mut out);
-            out.push_str(&format!(
-                ",\"p50_ps\":{},\"p90_ps\":{},\"p99_ps\":{}",
-                h.p50, h.p90, h.p99
-            ));
+        // Names are unique (registry map keys), so the objects are built
+        // directly rather than through `set`'s per-key search.
+        let counters = self.counters.iter().map(|(k, n)| (k.clone(), (*n).into()));
+        v.set("counters", Value::Object(counters.collect()));
+        let gauges = self.gauges.iter().map(|(k, g)| (k.clone(), (*g).into()));
+        v.set("gauges", Value::Object(gauges.collect()));
+        let mut hists = Vec::with_capacity(self.histograms.len());
+        for (k, h) in &self.histograms {
+            let mut entry = Value::object();
+            entry.set("count", h.count);
+            entry.set("min_ps", h.min);
+            entry.set("max_ps", h.max);
+            entry.set("mean_ps", h.mean);
+            entry.set("p50_ps", h.p50);
+            entry.set("p90_ps", h.p90);
+            entry.set("p99_ps", h.p99);
             // Lossless bucket data rides along (same-name entry; reports
             // assembled by hand may omit it).
             if let Some((_, b)) = self.hist_buckets.iter().find(|(name, _)| name == k) {
-                out.push_str(&format!(",\"sum_ps\":{},\"buckets\":[", b.sum_ps));
-                for (j, (idx, n)) in b.buckets.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("[{idx},{n}]"));
-                }
-                out.push(']');
+                entry.set("sum_ps", b.sum_ps);
+                let buckets: Vec<Value> = b
+                    .buckets
+                    .iter()
+                    .map(|&(idx, n)| Value::Array(vec![idx.into(), n.into()]))
+                    .collect();
+                entry.set("buckets", Value::Array(buckets));
             }
-            out.push('}');
+            hists.push((k.clone(), entry));
         }
-        out.push_str("}}");
-        out
+        v.set("histograms", Value::Object(hists));
+        v
+    }
+
+    /// The metrics sidecar: [`to_value`](Self::to_value) as compact JSON.
+    pub fn to_json_tagged(&self, incomplete: bool) -> String {
+        self.to_value(incomplete).encode()
     }
 }
 
@@ -280,12 +261,38 @@ mod tests {
         let m = Metrics::new();
         m.counter_add("c", 7);
         m.record_ns("h", 1.5);
-        let text = m.report().expect("report").to_json();
+        let text = m.report().expect("report").to_json_tagged(false);
         assert!(text.starts_with("{\"counters\":{\"c\":7}"));
         assert!(text.contains("\"h\":{\"count\":1,\"min_ps\":1500,\"max_ps\":1500"));
         // Lossless buckets ride along for cross-cell merging.
         assert!(text.contains("\"sum_ps\":1500,\"buckets\":[["), "{text}");
         assert!(!text.contains("\"incomplete\""));
+
+        // Counters past `i64::MAX` and histogram sums past `u64::MAX`
+        // read back as the exact integers, not as rounded floats.
+        let sum_ps = u128::from(u64::MAX) * 3 + 7;
+        let big = MetricsReport {
+            counters: vec![("big".to_string(), u64::MAX)],
+            gauges: vec![],
+            histograms: vec![("h".to_string(), Histogram::new().summary())],
+            hist_buckets: vec![(
+                "h".to_string(),
+                HistogramBuckets {
+                    buckets: vec![(3, u64::MAX)],
+                    count: u64::MAX,
+                    sum_ps,
+                    min_ps: 0,
+                    max_ps: u64::MAX,
+                },
+            )],
+        };
+        let v = Value::parse(&big.to_json_tagged(false)).expect("sidecar parses");
+        let big_counter = v.get("counters").and_then(|c| c.get("big"));
+        assert_eq!(big_counter.and_then(Value::as_u64), Some(u64::MAX));
+        let h = v.get("histograms").and_then(|h| h.get("h")).expect("hist");
+        assert_eq!(h.get("sum_ps"), Some(&Value::Int(sum_ps as i128)));
+        let buckets = h.get("buckets").and_then(Value::as_array).expect("buckets");
+        assert_eq!(buckets, [Value::from(vec![3u64, u64::MAX])]);
     }
 
     #[test]
@@ -298,7 +305,7 @@ mod tests {
             tagged.starts_with("{\"incomplete\":true,\"counters\":"),
             "{tagged}"
         );
-        assert_eq!(r.to_json_tagged(false), r.to_json());
+        assert_eq!(r.to_json_tagged(false), r.to_value(false).encode());
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! of the JSON doubles as a trace digest.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 
-use crate::event::{ActorId, Event, EventKind};
+use crate::event::{ActorId, ArgValue, Event, EventKind};
 use crate::intern::DecimalInterner;
-use crate::json;
+use crate::json::{write_f64, write_str};
 
 /// One harness cell's slice of the trace.
 #[derive(Debug, Clone)]
@@ -43,7 +44,34 @@ fn pid_of(cell_index: usize, actor: ActorId) -> u64 {
 
 fn push_ts(ts_ps: u64, out: &mut String) {
     // Picoseconds → trace_event microseconds, shortest-roundtrip.
-    json::float(ts_ps as f64 / 1e6, out);
+    write_f64(ts_ps as f64 / 1e6, out);
+}
+
+/// Appends event arguments as a JSON object. The exporter streams into
+/// one `String` rather than building a `Value` per event: a cell's ring
+/// holds up to 2^20 events.
+fn push_args(args: &[(&'static str, ArgValue)], out: &mut String) {
+    out.push('{');
+    for (i, (k, v)) in args.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_str(k, out);
+        out.push(':');
+        match v {
+            ArgValue::U64(n) => {
+                let _ = write!(out, "{n}");
+            }
+            ArgValue::I64(n) => {
+                let _ = write!(out, "{n}");
+            }
+            ArgValue::F64(f) => write_f64(*f, out),
+            ArgValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            ArgValue::Str(s) => write_str(s, out),
+            ArgValue::Text(s) => write_str(s, out),
+        }
+    }
+    out.push('}');
 }
 
 /// Renders cells (in order) as one Chrome `trace_event` JSON document.
@@ -90,7 +118,7 @@ pub fn chrome_trace_json(cells: &[TraceCell<'_>]) -> String {
             } else {
                 format!("cell{cell_index} [{label}] host{}", actor.host)
             };
-            json::string(&pname, &mut entry);
+            write_str(&pname, &mut entry);
             entry.push_str("}}");
             emit(&entry, &mut out);
         }
@@ -113,7 +141,7 @@ pub fn chrome_trace_json(cells: &[TraceCell<'_>]) -> String {
         } else {
             format!("qp{}", actor.lane)
         };
-        json::string(&tname, &mut entry);
+        write_str(&tname, &mut entry);
         entry.push_str("}}");
         emit(&entry, &mut out);
     }
@@ -123,9 +151,9 @@ pub fn chrome_trace_json(cells: &[TraceCell<'_>]) -> String {
         for event in cell.events {
             let mut entry = String::with_capacity(128);
             entry.push_str("{\"name\":");
-            json::string(event.name, &mut entry);
+            write_str(event.name, &mut entry);
             entry.push_str(",\"cat\":");
-            json::string(event.target.name(), &mut entry);
+            write_str(event.target.name(), &mut entry);
             match event.kind {
                 EventKind::Span { dur_ps } => {
                     entry.push_str(",\"ph\":\"X\",\"dur\":");
@@ -146,11 +174,11 @@ pub fn chrome_trace_json(cells: &[TraceCell<'_>]) -> String {
             entry.push_str(ids.get(u64::from(event.actor.lane)));
             if let Some(value) = event.kind.counter_value() {
                 entry.push_str(",\"args\":{\"value\":");
-                json::float(value, &mut entry);
+                write_f64(value, &mut entry);
                 entry.push('}');
             } else if !event.args.is_empty() {
                 entry.push_str(",\"args\":");
-                json::args_object(&event.args, &mut entry);
+                push_args(&event.args, &mut entry);
             }
             entry.push('}');
             emit(&entry, &mut out);
@@ -216,8 +244,8 @@ mod tests {
             "\"cat\":\"rdma-verbs\"",
             "\"cat\":\"chaos\"",
             "\"cat\":\"sim-core\"",
-            // 2_000_000 ps = 2 µs.
-            "\"ts\":2,",
+            // 2_000_000 ps = 2 µs; integral floats keep their `.0`.
+            "\"ts\":2.0,",
             "\"dur\":0.5,",
         ] {
             assert!(text.contains(needle), "missing {needle} in {text}");

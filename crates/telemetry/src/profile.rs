@@ -36,6 +36,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json::Value;
+
 // --- timestamp source ---------------------------------------------------
 //
 // Spans on the hottest paths (queue pop, arena alloc) wrap operations of
@@ -267,23 +269,17 @@ impl ProfileReport {
         self.phases.iter().all(|(_, t)| t.calls == 0)
     }
 
-    /// Renders the report as a JSON object mapping phase name to
+    /// The report as a JSON object mapping phase name to
     /// `{"ns": .., "calls": ..}` — the `report.json` "profile" section.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (phase, t)) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\"{}\":{{\"ns\":{},\"calls\":{}}}",
-                phase.name(),
-                t.ns,
-                t.calls
-            ));
+    pub fn to_value(&self) -> Value {
+        let mut v = Value::object();
+        for (phase, t) in &self.phases {
+            let mut entry = Value::object();
+            entry.set("ns", t.ns);
+            entry.set("calls", t.calls);
+            v.set(phase.name(), entry);
         }
-        out.push('}');
-        out
+        v
     }
 }
 
@@ -396,7 +392,10 @@ mod tests {
         let report = ProfileReport {
             phases: vec![(Phase::Execute, PhaseTotal { ns: 5, calls: 2 })],
         };
-        assert_eq!(report.to_json(), "{\"execute\":{\"ns\":5,\"calls\":2}}");
+        assert_eq!(
+            report.to_value().encode(),
+            "{\"execute\":{\"ns\":5,\"calls\":2}}"
+        );
         assert_eq!(report.total_ns(), 5);
     }
 

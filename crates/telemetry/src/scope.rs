@@ -8,9 +8,7 @@
 //! one branch.
 
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, PoisonError};
 
-use crate::collector::{Collector, NullCollector, RingCollector, RingState};
 use crate::event::{ActorId, ArgValue, Event, Level, Target, TargetSet};
 use crate::metrics::{Metrics, MetricsReport};
 use crate::tracer::Tracer;
@@ -63,47 +61,27 @@ impl Drop for Installed {
 pub struct Session {
     tracer: Tracer,
     metrics: Metrics,
-    ring: Option<Arc<Mutex<RingState>>>,
 }
 
 impl Session {
     /// A session buffering up to `capacity` filtered events in a ring,
     /// with metrics on or off.
     pub fn ring(filter: TargetSet, capacity: usize, with_metrics: bool) -> Session {
-        let ring = RingCollector::new(capacity);
-        let state = ring.state();
         Session {
-            tracer: Tracer::new(filter, Box::new(ring)),
+            tracer: Tracer::ring(filter, capacity),
             metrics: if with_metrics {
                 Metrics::new()
             } else {
                 Metrics::disabled()
             },
-            ring: Some(state),
         }
     }
 
-    /// A session feeding a custom collector (e.g. a
-    /// [`StreamCollector`](crate::StreamCollector)); events are not
-    /// harvestable afterwards, metrics are.
-    pub fn custom(filter: TargetSet, collector: Box<dyn Collector>, with_metrics: bool) -> Session {
-        Session {
-            tracer: Tracer::new(filter, collector),
-            metrics: if with_metrics {
-                Metrics::new()
-            } else {
-                Metrics::disabled()
-            },
-            ring: None,
-        }
-    }
-
-    /// A metrics-only session (events discarded).
+    /// A metrics-only session (no events recorded).
     pub fn metrics_only() -> Session {
         Session {
-            tracer: Tracer::new(TargetSet::EMPTY, Box::new(NullCollector)),
+            tracer: Tracer::disabled(),
             metrics: Metrics::new(),
-            ring: None,
         }
     }
 
@@ -123,23 +101,15 @@ impl Session {
         install(self.tracer.clone(), self.metrics.clone())
     }
 
-    /// Flushes and harvests: buffered events (ring sessions), drop and
-    /// total counts, and the metrics report.
+    /// Harvests buffered events, drop and total counts, and the metrics
+    /// report. Works on a session whose cell panicked mid-record: the
+    /// ring recovers from poison.
     pub fn finish(self) -> SessionReport {
-        self.tracer.flush();
-        let (events, dropped) = match &self.ring {
-            Some(state) => {
-                // Recover from poison so a panicked worker's session can
-                // still be harvested after the fact.
-                let mut state = state.lock().unwrap_or_else(PoisonError::into_inner);
-                (state.events.drain(..).collect(), state.dropped)
-            }
-            None => (Vec::new(), 0),
-        };
+        let (events, dropped_events) = self.tracer.drain();
         SessionReport {
             total_events: self.tracer.events_recorded(),
             events,
-            dropped_events: dropped,
+            dropped_events,
             metrics: self.metrics.report(),
         }
     }
@@ -148,11 +118,11 @@ impl Session {
 /// What one session observed.
 #[derive(Debug, Clone, Default)]
 pub struct SessionReport {
-    /// Buffered events in record order (empty for non-ring sessions).
+    /// Buffered events in record order (empty for metrics-only sessions).
     pub events: Vec<Event>,
     /// Events evicted from the ring after it filled.
     pub dropped_events: u64,
-    /// Events accepted by the filter (buffered + evicted + streamed).
+    /// Events accepted by the filter (buffered + evicted).
     pub total_events: u64,
     /// The metrics snapshot, when the session had metrics enabled.
     pub metrics: Option<MetricsReport>,
